@@ -52,6 +52,7 @@ class QBosonEngine:
         self.q = params.q
         self._amap_memo = {}
         self._tracepoly_memo = {}
+        self._base_memo = {}
 
     def one(self) -> NormalForm:
         return NormalForm({(0, 0, 0): ONE})
@@ -232,26 +233,31 @@ def _base_22(engine, zarg, j, m):
     return led.reduce()
 
 
+_BASES = {(1, 1): _base_11, (1, 2): _base_bra1_ket2,
+          (2, 1): _base_bra2_ket1, (2, 2): _base_22}
+
+
 def boundary_contract(engine: QBosonEngine, nf: NormalForm, bra: int, ket: int) -> Scalar:
     """Normalized contraction <eta_bra| X^h word |eta_ket> / <eta_bra| X^h |eta_ket>.
 
     For the (2, 2) pair with odd weight the plain normalizer sits in the wrong
-    product tower; there the convention multiplies by it instead.
+    product tower; there the convention multiplies by it instead.  The value
+    of each basis word ap^i k^m is kept in the engine, keyed by (bra, ket,
+    marker argument, i, m), so the q-Pochhammer products behind it are
+    computed once per engine.
     """
-    if bra not in (1, 2) or ket not in (1, 2):
+    basefn = _BASES.get((bra, ket))
+    if basefn is None:
         raise ValueError("boundary labels must be 1 or 2")
     flat = eliminate_annihilators(engine, nf, ket)
     zarg = nf.xarg
+    memo = engine._base_memo
     total = ZERO
     for (i, m, j), c in flat.terms.items():
-        if bra == 1 and ket == 1:
-            base = _base_11(engine, zarg, i, m)
-        elif bra == 1:
-            base = _base_bra1_ket2(engine, zarg, i, m)
-        elif ket == 1:
-            base = _base_bra2_ket1(engine, zarg, i, m)
-        else:
-            base = _base_22(engine, zarg, i, m)
+        key = (bra, ket, zarg, i, m)
+        base = memo.get(key)
+        if base is None:
+            base = memo[key] = basefn(engine, zarg, i, m)
         total = total + c * base
     return total
 

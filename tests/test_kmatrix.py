@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from onsk.field import ONE, PoleError, Scalar, make_params, sample_params
+from onsk.field import ONE, PoleError, Scalar, make_params, parse_scalar, sample_params
 from onsk.kmatrix import (
     KMatrix,
     NullspaceDimensionError,
@@ -32,7 +32,7 @@ from onsk.onsager import (
     onsager_generators,
 )
 from onsk.poch import poch
-from onsk.qboson import QBosonEngine, boundary_contract_oracle
+from onsk.qboson import QBosonEngine, boundary_contract, boundary_contract_oracle
 from onsk.spinrep import RangeError, global_flip, make_family, popcount
 
 PARAMS = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7))
@@ -449,6 +449,74 @@ def test_solver_guard():
         solve_intertwiner(CoidealSpec(make_family("A1", 6)), PARAMS)
 
 
+def entry_letters(engine, beta, alpha, n):
+    """Per-site letters of one entry, written out site by site."""
+    letters = []
+    for site in range(n):
+        b, a = (beta >> site) & 1, (alpha >> site) & 1
+        if (b, a) == (0, 0):
+            letters.append(engine.ap())
+        elif (b, a) == (0, 1):
+            letters.append(engine.scale(engine.kdiag(), -engine.q))
+        elif (b, a) == (1, 0):
+            letters.append(engine.kdiag())
+        else:
+            letters.append(engine.am())
+    return letters
+
+
+def reference_matrix(prm, zs, close, support, factor=lambda alpha: ONE):
+    """K matrix built entry by entry, each from its own word on a fresh engine.
+
+    The word of entry (beta, alpha) is X_1 L_1 X_2 L_2 ... with zs holding
+    the marker argument of each bond (None for no marker there); close maps
+    (engine, word) to a value.  support selects entries by the excess
+    |alpha| + |beta| - n, and factor(alpha) scales a column.
+    """
+    n = len(zs)
+    dim = 1 << n
+    out = Operator(dim, dim)
+    for alpha in range(dim):
+        for beta in range(dim):
+            if not support(popcount(alpha) + popcount(beta) - n):
+                continue
+            engine = QBosonEngine(prm)
+            factors = []
+            for zi, letter in zip(zs, entry_letters(engine, beta, alpha, n)):
+                if zi is not None:
+                    factors.append(engine.marker(zi))
+                factors.append(letter)
+            out.set(beta, alpha, factor(alpha) * close(engine, engine.mulseq(factors)))
+    return out
+
+
+@pytest.mark.parametrize("t, z", [(Scalar(2, 0, 5), Scalar(3, 0, 7)),
+                                  (parse_scalar("1/2+1/3*i"), parse_scalar("2/7+1/5*i"))],
+                         ids=["real", "complex"])
+def test_prefix_shared_builds_match_per_entry_words(t, z):
+    # prefix sharing and the per-engine base memo leave every entry as it is
+    bonds = (Scalar(2), parse_scalar("3/5+1/7*i"), Scalar(5, 0, 3))
+    on_weight = lambda excess: excess == 0
+    for eps in (1, -1):
+        for mu in (1, -1):
+            prm = make_params(t, z, eps, mu)
+            for n in range(1, 5):
+                single = (z,) + (None,) * (n - 1)
+                kap = lambda alpha: kappa_tr(popcount(alpha), n, z, prm.q)
+                want = reference_matrix(prm, single, QBosonEngine.trace, on_weight, kap)
+                assert build_ktr(n, z, prm).operator == want, (prm, n)
+                multi = (z,) + bonds[:n - 1]
+                want = reference_matrix(prm, multi, QBosonEngine.trace, on_weight)
+                want = want.scale(want.get((1 << n) - 1, 0).inverse())
+                assert build_ktr_multi(multi, prm).operator == want, (prm, n)
+                for k in (1, 2):
+                    for kp in (1, 2):
+                        want = reference_matrix(
+                            prm, single, lambda e, nf: boundary_contract(e, nf, k, kp),
+                            lambda excess: (k, kp) != (2, 2) or excess % 2 == 0)
+                        assert build_kkk(k, kp, n, z, prm).operator == want, (prm, n, k, kp)
+
+
 def test_entries_recheck_against_oracle():
     prm = sample_params(1, contracting=True)
     engine = QBosonEngine(prm)
@@ -462,18 +530,7 @@ def test_entries_recheck_against_oracle():
             if (k, kp) == (2, 2) and (popcount(alpha) + popcount(beta) - n) % 2:
                 continue
             exact = km.operator.get(beta, alpha)
-            letters = []
-            for site in range(n):
-                b, a = (beta >> site) & 1, (alpha >> site) & 1
-                if (b, a) == (0, 0):
-                    letters.append(engine.ap())
-                elif (b, a) == (0, 1):
-                    letters.append(engine.scale(engine.kdiag(), -prm.q))
-                elif (b, a) == (1, 0):
-                    letters.append(engine.kdiag())
-                else:
-                    letters.append(engine.am())
-            nf = engine.mulseq([engine.marker(prm.z)] + letters)
+            nf = engine.mulseq([engine.marker(prm.z)] + entry_letters(engine, beta, alpha, n))
             val, bound = boundary_contract_oracle(prm, nf, k, kp)
             assert bound <= Fraction(1, 10 ** 25)
             assert exact.is_real()

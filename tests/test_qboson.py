@@ -141,6 +141,20 @@ def test_contract_12_golden_two_raises():
 WORDS = ["k", "kk", "+k", "++", "+-", "+k-", "++kk", "+kk-", "kkk", "++k"]
 
 
+def test_shared_engine_contractions_match_fresh_engines():
+    # one engine keeps its boundary bases across calls; every value must be
+    # the one a fresh engine computes, whatever the labels and the marker
+    shared = QBosonEngine(PARAMS)
+    for zarg in (Z, Z.inverse()):
+        for bra in (1, 2):
+            for ket in (1, 2):
+                for letters in WORDS:
+                    got = boundary_contract(shared, word(shared, zarg, letters), bra, ket)
+                    fresh = QBosonEngine(PARAMS)
+                    want = boundary_contract(fresh, word(fresh, zarg, letters), bra, ket)
+                    assert got == want, (zarg, bra, ket, letters)
+
+
 def test_oracle_agrees_with_closed_forms():
     for seed in (1, 2):
         params = sample_params(seed, contracting=True)
