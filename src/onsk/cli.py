@@ -59,13 +59,12 @@ class RunConfig:
     """One resolved invocation: subcommand plus every knob the runners read."""
 
     __slots__ = ("subcommand", "suite", "target", "family", "n", "k", "kp",
-                 "seed", "t", "z", "eps", "mu", "trunc", "format", "output",
-                 "jobs")
+                 "seed", "t", "z", "eps", "mu", "trunc", "format", "output")
 
     def __init__(self, subcommand: str, *, suite=None, target=None,
                  family=None, n=None, k=None, kp=None, seed=0, t=None, z=None,
-                 eps=None, mu=None, trunc=10, format="text", output=None,
-                 jobs=1) -> None:
+                 eps=None, mu=None, trunc=10, format="text",
+                 output=None) -> None:
         self.subcommand = subcommand
         self.suite = suite
         self.target = target
@@ -81,7 +80,6 @@ class RunConfig:
         self.trunc = trunc
         self.format = format
         self.output = output
-        self.jobs = jobs
 
     def __repr__(self) -> str:
         core = self.suite or self.target or ""
@@ -111,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "spectral certificates")
         p.add_argument("--output", default=None, metavar="PATH",
                        help="write the report to a file instead of stdout")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; runs are serial")
 
     pv = sub.add_parser("verify", help="run a check suite")
     pv.add_argument("--suite", choices=SUITES, default="all")
@@ -155,8 +151,6 @@ def resolve(args: argparse.Namespace) -> RunConfig:
             seed = int(env)
         except ValueError:
             raise ConfigError(f"ONSK_SEED must be an integer, got {env!r}") from None
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
     family = getattr(args, "family", None)
     if family is not None:
@@ -179,7 +173,7 @@ def resolve(args: argparse.Namespace) -> RunConfig:
                      kp=getattr(args, "kp", None), seed=seed, t=args.t,
                      z=args.z, eps=args.eps, mu=args.mu,
                      trunc=getattr(args, "trunc", 10), format=fmt,
-                     output=args.output, jobs=args.jobs)
+                     output=args.output)
 
 
 def resolved_params(cfg: RunConfig) -> Params:

@@ -1,7 +1,8 @@
 """Sparse exact linear algebra over the Gaussian rationals.
 
-Operators are dict-of-dicts over Scalar entries; eliminations use exact
-division, so ranks and nullspaces carry no thresholds at all.
+Operators are dict-of-dicts over Scalar entries.  One sparse echelon
+routine serves every elimination (ranks, nullspaces, the exchange-relation
+solver); it divides exactly, so ranks and nullspaces carry no thresholds.
 """
 
 from __future__ import annotations
@@ -134,41 +135,22 @@ class Operator:
                 s = s + v
         return s
 
+    def block(self, rows, cols) -> "Operator":
+        """Submatrix on the given row and column indices, reindexed from 0."""
+        out = Operator(len(rows), len(cols))
+        at = {c: j for j, c in enumerate(cols)}
+        for i, r in enumerate(rows):
+            row = {at[c]: v for c, v in self.rows.get(r, {}).items() if c in at}
+            if row:
+                out.rows[i] = row
+        return out
+
     def to_dense(self):
         return [[self.get(r, c) for c in range(self.ncols)] for r in range(self.nrows)]
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
-
-
-def rref(rows):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 def first_entry(op: Operator):
@@ -180,26 +162,76 @@ def first_entry(op: Operator):
     return best
 
 
+def echelon_insert(pivots: dict, row: dict) -> None:
+    """Reduce a sparse row {col: value} against the pivot rows and keep the rest.
+
+    pivots maps each leading column to its row, normalised to 1 there; a
+    row that reduces to zero adds nothing, so len(pivots) is the rank of
+    the rows inserted so far.  The row passed in is not modified.
+    """
+    while row:
+        u = min(row)
+        prow = pivots.get(u)
+        if prow is None:
+            inv = row[u].inverse()
+            pivots[u] = {v: c * inv for v, c in row.items()}
+            return
+        f = row[u]
+        new = dict(row)
+        for v, c in prow.items():
+            cur = new.get(v, ZERO) - f * c
+            if cur.is_zero():
+                new.pop(v, None)
+            else:
+                new[v] = cur
+        row = new
+
+
+def nullspace(pivots: dict, ncols: int) -> list:
+    """Right nullspace of the rows reduced into pivots, by back-substitution.
+
+    One sparse vector {col: value} per free column, in increasing order:
+    1 at its own free column, 0 at every other one.  Pivot rows are solved
+    from the last leading column down, so each sees only final values.
+    """
+    order = sorted(pivots, reverse=True)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = {f: ONE}
+        for u in order:
+            s = ZERO
+            for v, c in pivots[u].items():
+                xv = x.get(v)
+                if xv is not None:
+                    s = s + c * xv
+            if not s.is_zero():
+                x[u] = -s
+        basis.append(x)
+    return basis
+
+
+def _reduce(rows) -> dict:
+    pivots: dict = {}
+    for row in rows:
+        echelon_insert(pivots, row)
+    return pivots
+
+
+def _sparse(rows):
+    return ({c: v for c, v in enumerate(row) if not v.is_zero()} for row in rows)
+
+
 def rank_rows(rows) -> int:
-    work = [list(row) for row in rows]
-    return len(rref(work))
+    return len(_reduce(_sparse(rows)))
 
 
 def rank(op: Operator) -> int:
-    return rank_rows(op.to_dense())
+    return len(_reduce(op.rows.values()))
 
 
 def nullspace_rows(rows, ncols):
-    """Basis of the right nullspace of the given row list."""
-    work = [list(row) for row in rows]
-    pivots = rref(work)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
-    return basis
+    """Basis of the right nullspace of the given row list, as dense rows."""
+    return [[x.get(c, ZERO) for c in range(ncols)]
+            for x in nullspace(_reduce(_sparse(rows)), ncols)]

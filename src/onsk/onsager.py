@@ -256,9 +256,7 @@ def check_onsager_relations(bs, cartan, params: Params) -> Report:
             else:
                 rep.add(f"b{i} b{j}", False, f"unsupported cartan entry {aij}")
                 continue
-            w = first_entry(diff)
-            rep.add(label, w is None,
-                    "" if w is None else f"residual at ({w[0]},{w[1]}): {w[2]}")
+            rep.add_zero(label, diff)
     return rep
 
 
@@ -297,11 +295,9 @@ def hamiltonian(spec: CoidealSpec, params: Params) -> Operator:
                             hamiltonian_kappa(spec, params))
 
 
-def hamiltonian_multi(zs, params: Params) -> Operator:
-    """Cyclic chain with an independent spectral parameter on every bond."""
-    n = len(zs)
-    if n < 3:
-        raise RangeError(f"cyclic chain needs n >= 3, got {n}")
+def bond_parameters(zs) -> list:
+    """One spectral parameter per bond as Scalars (ints and Fractions are
+    converted); a zero one raises ZeroParameter."""
     zlist = []
     for v in zs:
         if not isinstance(v, Scalar):
@@ -309,6 +305,15 @@ def hamiltonian_multi(zs, params: Params) -> Operator:
         if v.is_zero():
             raise ZeroParameter("bond parameters must be nonzero")
         zlist.append(v)
+    return zlist
+
+
+def hamiltonian_multi(zs, params: Params) -> Operator:
+    """Cyclic chain with an independent spectral parameter on every bond."""
+    n = len(zs)
+    if n < 3:
+        raise RangeError(f"cyclic chain needs n >= 3, got {n}")
+    zlist = bond_parameters(zs)
     sp = _Spins(n)
     qq = params.q + params.q ** -1
     total = sp.eye.scale(gamma(params) * n)
@@ -340,9 +345,7 @@ def check_tl_relations(n: int, params: Params) -> Report:
     qq = params.q + params.q ** -1
     m = len(ts)
     for i in range(m):
-        w = first_entry(ts[i] @ ts[i] - ts[i].scale(qq))
-        rep.add(f"t{i + 1} idempotent-type", w is None,
-                "" if w is None else f"residual at ({w[0]},{w[1]}): {w[2]}")
+        rep.add_zero(f"t{i + 1} idempotent-type", ts[i] @ ts[i] - ts[i].scale(qq))
     for i in range(m):
         for j in range(m):
             if i == j:
@@ -353,9 +356,7 @@ def check_tl_relations(n: int, params: Params) -> Report:
             else:
                 diff = ts[i] @ ts[j] - ts[j] @ ts[i]
                 label = f"t{i + 1} t{j + 1} commute"
-            w = first_entry(diff)
-            rep.add(label, w is None,
-                    "" if w is None else f"residual at ({w[0]},{w[1]}): {w[2]}")
+            rep.add_zero(label, diff)
     # the shifted generators must also satisfy the cubic coideal relation
     shift = (params.q + params.q ** -1) ** -1
     dim = 1 << n
@@ -371,7 +372,5 @@ def check_tl_relations(n: int, params: Params) -> Report:
                     - (bs[i] @ bs[j] @ bs[i]).scale(c3)
                     + bs[j] @ bs[i] @ bs[i]
                     - bs[j])
-            w = first_entry(diff)
-            rep.add(f"shifted t{i + 1} t{j + 1} cubic", w is None,
-                    "" if w is None else f"residual at ({w[0]},{w[1]}): {w[2]}")
+            rep.add_zero(f"shifted t{i + 1} t{j + 1} cubic", diff)
     return rep

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .linalg import first_entry
+
 
 class CheckResult:
     """Outcome of one named identity check."""
@@ -34,6 +36,12 @@ class Report:
     def add(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append(CheckResult(name, bool(ok), detail))
         return bool(ok)
+
+    def add_zero(self, name: str, op) -> bool:
+        """Pass when the operator op vanishes; a failure names its first residual."""
+        w = first_entry(op)
+        return self.add(name, w is None,
+                        "" if w is None else f"residual at ({w[0]},{w[1]}): {w[2]}")
 
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)

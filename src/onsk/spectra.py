@@ -3,17 +3,19 @@
 Each conjectured decomposition is verified without constructing the
 invariant subspaces themselves: the eigenvalue closed forms must
 annihilate the matrix as a polynomial, and the Lagrange projector of
-each eigenvalue must have exactly the predicted rank.  All arithmetic
-is exact, so a passing certificate is a proof for that parameter point.
+each eigenvalue must have exactly the predicted rank.  Weight-sector
+blocks, their products and projector ranks are computed on the sparse
+Operator of onsk.linalg.  All arithmetic is exact, so a passing
+certificate is a proof for that parameter point.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .field import ONE, ZERO, Params, PoleError, Scalar, _coerce
+from .field import ONE, Params, PoleError, Scalar, _coerce
 from .kmatrix import build_kkk, build_ktr
-from .linalg import rank_rows
+from .linalg import Operator, rank
 from .report import Report
 from .spinrep import RangeError, popcount
 
@@ -174,48 +176,11 @@ def closed_form(tag: str, n: int, l: int, j: int | None = None) -> EigenClosedFo
 
 
 # ---------------------------------------------------------------------------
-# dense exact block algebra
+# Lagrange projectors
 
 
-def _sector(n: int, l: int | None = None) -> list:
-    if l is None:
-        return list(range(1 << n))
+def _sector(n: int, l: int) -> list:
     return [s for s in range(1 << n) if popcount(s) == l]
-
-
-def _block(op, rows, cols):
-    return [[op.get(r, c) for c in cols] for r in rows]
-
-
-def _matmul(a, b):
-    cols = len(b[0])
-    inner = len(b)
-    out = []
-    for ra in a:
-        row = []
-        for j in range(cols):
-            acc = ZERO
-            for s in range(inner):
-                if not ra[s].is_zero() and not b[s][j].is_zero():
-                    acc = acc + ra[s] * b[s][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _shift(a, lam):
-    out = [row[:] for row in a]
-    for i, row in enumerate(out):
-        row[i] = row[i] - lam
-    return out
-
-
-def _is_zero(a) -> bool:
-    return all(e.is_zero() for row in a for e in row)
-
-
-def _eye(d):
-    return [[(ONE if r == c else ZERO) for c in range(d)] for r in range(d)]
 
 
 def _assert_distinct(lams) -> None:
@@ -226,25 +191,20 @@ def _assert_distinct(lams) -> None:
                     f"eigenvalues {i} and {j} collide at the sample point")
 
 
-def _factors(m, lams):
-    return [_shift(m, lam) for lam in lams]
-
-
 def _lagrange(m, lams, factors, idx):
     """Projector onto the idx-th eigenspace, given all shifted factors."""
     prod = None
     for i, f in enumerate(factors):
         if i == idx:
             continue
-        prod = f if prod is None else _matmul(prod, f)
+        prod = f if prod is None else prod @ f
     if prod is None:
-        return _eye(len(m))
+        return Operator.identity(m.nrows)
     den = ONE
     for i, lam in enumerate(lams):
         if i != idx:
             den = den * (lams[idx] - lam)
-    inv = den ** -1
-    return [[e * inv for e in row] for row in prod]
+    return prod.scale(den ** -1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +278,20 @@ def spectra_csv(reports) -> str:
 def _certify(rep: SpectralReport, m, lams, rows_meta) -> list:
     """Shared annihilation + rank certificate; returns the projectors."""
     _assert_distinct(lams)
-    factors = _factors(m, lams)
+    eye = Operator.identity(m.nrows)
+    factors = [m - eye.scale(lam) for lam in lams]
     full = None
     for f in factors:
-        full = f if full is None else _matmul(full, f)
-    rep.checks.add("annihilating polynomial", _is_zero(full))
+        full = f if full is None else full @ f
+    rep.checks.add("annihilating polynomial", full.is_zero())
     projs = []
-    dim = len(m)
+    dim = m.nrows
     total = 0
     for i, (l, j, expected) in enumerate(rows_meta):
         p = _lagrange(m, lams, factors, i)
-        resid = _is_zero(_matmul(factors[i], p))
-        rank = rank_rows(p)
+        resid = (factors[i] @ p).is_zero()
         rep.rows.append(SpectralRow(rep.family, rep.n, l, j, lams[i],
-                                    resid, rank, expected))
+                                    resid, rank(p), expected))
         total += expected
         projs.append(p)
     rep.checks.add("multiplicity sum", total == dim,
@@ -354,7 +314,7 @@ def verify_tr_spectrum(n: int, l: int, z, w, params: Params) -> SpectralReport:
     kw = build_ktr(n, w, params).operator
     vl = _sector(n, l)
     vnl = _sector(n, n - l)
-    m = _matmul(_block(kw, vl, vnl), _block(kz, vnl, vl))
+    m = kw.block(vl, vnl) @ kz.block(vnl, vl)
     js = list(range(l, -1, -1)) if 2 * l <= n else list(range(l, n + 1))
     lams = []
     meta = []
@@ -385,7 +345,7 @@ def verify_tr_middle(n: int, z, params: Params) -> SpectralReport:
     z = _coerce(z)
     l = n // 2
     vl = _sector(n, l)
-    m = _block(build_ktr(n, z, params).operator, vl, vl)
+    m = build_ktr(n, z, params).operator.block(vl, vl)
     lams = []
     meta = []
     for j in range(l, -1, -1):
@@ -400,9 +360,8 @@ def verify_k11_k21_joint(n: int, z, w, params: Params) -> SpectralReport:
     """Certify that K_{1,1}(z) and K_{2,1}(w) share one projector family."""
     z = _coerce(z)
     w = _coerce(w)
-    st = _sector(n)
-    a = _block(build_kkk(1, 1, n, z, params).operator, st, st)
-    b = _block(build_kkk(2, 1, n, w, params).operator, st, st)
+    a = build_kkk(1, 1, n, z, params).operator
+    b = build_kkk(2, 1, n, w, params).operator
     lams11 = [eval_lambda_k11(n, l, z, params) for l in range(n + 1)]
     lams21 = [eval_lambda_k21(n, l, w, params) for l in range(n + 1)]
     rep = SpectralReport("k11", n)
@@ -415,20 +374,16 @@ def verify_k11_k21_joint(n: int, z, w, params: Params) -> SpectralReport:
     rep.checks.extend(rep21.checks)
     for l in range(n + 1):
         rep.checks.add(f"joint projector l={l}", p11[l] == p21[l])
-        rep.checks.add(f"projector idempotent l={l}",
-                       _matmul(p11[l], p11[l]) == p11[l])
-    comm_ok = _matmul(a, b) == _matmul(b, a)
-    rep.checks.add("matrices commute", comm_ok)
+        rep.checks.add(f"projector idempotent l={l}", p11[l] @ p11[l] == p11[l])
+    rep.checks.add("matrices commute", a @ b == b @ a)
     return rep
 
 
 def verify_k12_k22(n: int, z, params: Params) -> SpectralReport:
     """Certify the two remaining boundary spectra and their parity links."""
     z = _coerce(z)
-    st = _sector(n)
-    a = _block(build_kkk(1, 2, n, z, params).operator, st, st)
-    k22op = build_kkk(2, 2, n, z, params).operator
-    c = _block(k22op, st, st)
+    a = build_kkk(1, 2, n, z, params).operator
+    c = build_kkk(2, 2, n, z, params).operator
     rep = SpectralReport("k12", n)
 
     lams12 = [eval_lambda_k12(n, l, z, params) for l in range(n + 1)]
@@ -448,12 +403,12 @@ def verify_k12_k22(n: int, z, params: Params) -> SpectralReport:
         _certify(rep22, c, lams22, meta22)
     else:
         # the +/- pair structure squares to a scalar on each component
-        sq = _matmul(c, c)
+        sq = c @ c
         meta22 = [(l, None, 2 * comb(n, l)) for l in range(top + 1)]
         _certify(rep22, sq, [v * v for v in lams22], meta22)
     swap = not even
     parity_ok = all((popcount(r) + popcount(cc)) % 2 == (1 if swap else 0)
-                    for r, cc, v in k22op.entries() if not v.is_zero())
+                    for r, cc, _ in c.entries())
     rep22.checks.add("parity sectors swapped" if swap else "parity sectors preserved",
                      parity_ok)
     rep.rows.extend(rep22.rows)
@@ -468,23 +423,22 @@ def verify_k12_k22(n: int, z, params: Params) -> SpectralReport:
             quad = p12[l]
             expected = comb(n, l) // 2
         else:
-            quad = _madd(p12[l], p12[n - l])
+            quad = p12[l] + p12[n - l]
             expected = comb(n, l)
         for name, pr in (("even", pp), ("odd", pm)):
-            got = rank_rows(_matmul(pr, _matmul(quad, pr)))
+            got = rank(pr @ quad @ pr)
             rep.checks.add(f"parity block rank l={l} ({name})", got == expected,
                            f"rank {got}, expected {expected}")
     return rep
 
 
-def _parity(n: int, residue: int):
-    d = 1 << n
-    return [[(ONE if (r == c and popcount(r) % 2 == residue) else ZERO)
-             for c in range(d)] for r in range(d)]
-
-
-def _madd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _parity(n: int, residue: int) -> Operator:
+    # diagonal projector onto the states whose up-spin count has this parity
+    out = Operator(1 << n)
+    for s in range(1 << n):
+        if popcount(s) % 2 == residue:
+            out.set(s, s, ONE)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from onsk.spectra import (
     CSV_HEADER,
     DegenerateEigenvalues,
     EigenClosedForm,
+    SpectralReport,
+    _certify,
     closed_form,
     eval_lambda_k11,
     eval_lambda_k12,
@@ -278,6 +280,33 @@ def test_joint_certificates():
     # dimension bookkeeping: all components together fill the chain space
     rep = verify_k11_k21_joint(3, Z, W, PARAMS)
     assert sum(row.rank for row in rep.rows if row.family == "k11") == 8
+
+
+def test_certificate_negative_controls():
+    n = 3
+    k11 = build_kkk(1, 1, n, Z, PARAMS).operator
+    lams = [eval_lambda_k11(n, l, Z, PARAMS) for l in range(n + 1)]
+    meta = [(l, None, comb(n, l)) for l in range(n + 1)]
+
+    def certify(m, values):
+        rep = SpectralReport("k11", n)
+        _certify(rep, m, values, meta)
+        return rep
+
+    assert certify(k11, lams).ok
+    # one closed-form eigenvalue off by a small amount
+    off = list(lams)
+    off[2] = off[2] + Scalar(1, 0, 97)
+    rep = certify(k11, off)
+    assert not rep.ok
+    assert [c.name for c in rep.checks.failures()] == ["annihilating polynomial"]
+    assert not rep.rows[2].annihilated
+    # one matrix entry bumped
+    bumped = k11.copy()
+    bumped.add_to(0, 0, Scalar(1, 0, 97))
+    rep = certify(bumped, lams)
+    assert not rep.ok
+    assert "annihilating polynomial" in [c.name for c in rep.checks.failures()]
 
 
 def test_joint_on_sampled_points():
