@@ -433,18 +433,13 @@ def cmd_dump(cfg: RunConfig) -> int:
             named.append((f"kminus{i}", gens.kminus[i]))
         _emit(cfg, _render_generators(cfg, meta, named))
         return 0
+    spec = _coideal(cfg, fam)
+    meta.update(k=spec.k, kp=spec.kp)
     if cfg.target == "hamiltonian":
-        spec = _coideal(cfg, fam)
-        meta.update(k=spec.k, kp=spec.kp)
         op = hamiltonian(spec, params)
     elif fam.tag == "A1":
-        if cfg.k is not None or cfg.kp is not None:
-            raise ConfigError("--k/--kp apply only to the bounded families")
-        meta.update(k=None, kp=None)
         op = build_ktr(fam.n, params.z, params).operator
     else:
-        spec = _coideal(cfg, fam)
-        meta.update(k=spec.k, kp=spec.kp)
         op = build_kkk(spec.k, spec.kp, fam.n, params.z, params).operator
     _emit(cfg, _render_dump(cfg, meta, op))
     return 0

@@ -16,7 +16,7 @@ the two routes is a checked invariant.
 from __future__ import annotations
 
 from .field import ONE, ZERO, Params, PoleError, Scalar
-from .linalg import Operator, echelon_insert, first_entry, nullspace
+from .linalg import Operator, commutator, echelon_insert, first_entry, nullspace
 from .onsager import CoidealSpec, SpecError, bond_parameters, hamiltonian, onsager_generators
 from .poch import poch
 from .qboson import QBosonEngine, boundary_contract
@@ -243,10 +243,10 @@ def check_commutativity(n: int, z: Scalar, w: Scalar, params: Params) -> Report:
     rep = Report(f"K commutativity n={n}")
     kz = build_ktr(n, z, params).operator
     kw = build_ktr(n, w, params).operator
-    rep.add_zero("trace kind commutes", kz @ kw - kw @ kz)
+    rep.add_zero("trace kind commutes", commutator(kz, kw))
     bz = build_kkk(1, 1, n, z, params).operator
     bw = build_kkk(1, 1, n, w, params).operator
-    res = first_entry(bz @ bw - bw @ bz)
+    res = first_entry(commutator(bz, bw))
     rep.add("boundary kind commutes", res is None,
             "contrary to the expected non-commutativity; documented divergence"
             if res is None else f"residual at ({res[0]},{res[1]}): {res[2]}")
@@ -277,11 +277,8 @@ def check_kh_commute(spec: CoidealSpec, params: Params) -> Report:
     """The spin-reversed K matrix commutes with the matching Hamiltonian."""
     rep = Report(f"K-H commutativity {spec!r}")
     h = hamiltonian(spec, params)
-    if spec.fam.tag == "A1":
-        kv = vee(build_ktr(spec.fam.n, params.z, params), params)
-    else:
-        kv = vee(build_kkk(spec.k, spec.kp, spec.fam.n, params.z, params), params)
-    rep.add_zero("[K, H] = 0", kv.operator @ h - h @ kv.operator)
+    kv = vee(_kmatrix_for(spec, params), params)
+    rep.add_zero("[K, H] = 0", commutator(kv.operator, h))
     if spec.fam.tag == "A1":
         ok = all(popcount(r) == popcount(c) for r, c, _ in kv.operator.entries())
         rep.add("weight blocks preserved", ok)

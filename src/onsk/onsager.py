@@ -10,9 +10,10 @@ checked invariant, not an assumption.
 from __future__ import annotations
 
 from .field import Params, Scalar
-from .linalg import Operator, first_entry
+from .linalg import Operator, commutator, first_entry
 from .report import Report
-from .spinrep import Family, GeneratorSet, RangeError, generators, global_flip, local_spin
+from .spinrep import (Family, GeneratorSet, RangeError, generators, global_flip, local_spin,
+                      serre_residual)
 
 ONE = Scalar(1, 0, 1)
 TWO = Scalar(2, 0, 1)
@@ -119,18 +120,31 @@ class _Spins:
         self.eye = Operator.identity(self.dim)
 
 
-def _bulk_term(sp: _Spins, a: int, b: int, params: Params, flipped: bool) -> Operator:
-    # XXZ-type two-site term; `flipped` gives the sign pattern of the
-    # conjugated variant representation
+def _bulk_term(sp: _Spins, a: int, b: int, params: Params, flipped: bool,
+               hop_in: Scalar = ONE, hop_out: Scalar = ONE) -> Operator:
+    # XXZ-type two-site term with hop weights on s+_a s-_b and s-_a s+_b;
+    # `flipped` gives the sign pattern of the conjugated variant representation
     qq = params.q + params.q ** -1
     dq = params.q - params.q ** -1
     g = gamma(params)
-    op = sp.sp[a] @ sp.sm[b] + sp.sm[a] @ sp.sp[b]
+    op = (sp.sp[a] @ sp.sm[b]).scale(hop_in) + (sp.sm[a] @ sp.sp[b]).scale(hop_out)
     zz = (sp.sz[a] @ sp.sz[b]).scale(qq / 4)
     lin = (sp.sz[a] - sp.sz[b]).scale(dq / 4)
     if flipped:
         return op - zz + lin - sp.eye.scale(g)
     return op + zz + lin + sp.eye.scale(g)
+
+
+def _ring_terms(sp: _Spins, zs, params: Params, flipped: bool = False) -> list:
+    # bond i joins sites (n, 1) for i = 0 and (i, i + 1) otherwise; its
+    # hop weights are (z_i^-1, z_i), swapped in the flipped variant
+    n = sp.n
+    out = []
+    for i, zi in enumerate(zs):
+        a, b = (n, 1) if i == 0 else (i, i + 1)
+        hops = (zi, zi ** -1) if flipped else (zi ** -1, zi)
+        out.append(_bulk_term(sp, a, b, params, flipped, *hops))
+    return out
 
 
 def _pair_term(sp: _Spins, a: int, b: int, params: Params, head: bool,
@@ -173,25 +187,7 @@ def pauli_generators(spec: CoidealSpec, params: Params) -> tuple:
     z = params.z
     out = []
     if fam.tag == "A1":
-        for i in range(n):
-            a, b = (n, 1) if i == 0 else (i, i + 1)
-            qq = params.q + params.q ** -1
-            dq = params.q - params.q ** -1
-            g = gamma(params)
-            if i == 0:
-                hop_in, hop_out = z ** -1, z
-            else:
-                hop_in = hop_out = ONE
-            if spec.variant:
-                hop_in, hop_out = hop_out, hop_in
-            op = (sp.sp[a] @ sp.sm[b]).scale(hop_in) + (sp.sm[a] @ sp.sp[b]).scale(hop_out)
-            zz = (sp.sz[a] @ sp.sz[b]).scale(qq / 4)
-            lin = (sp.sz[a] - sp.sz[b]).scale(dq / 4)
-            if spec.variant:
-                out.append(op - zz + lin - sp.eye.scale(g))
-            else:
-                out.append(op + zz + lin + sp.eye.scale(g))
-        return tuple(out)
+        return tuple(_ring_terms(sp, (z,) + (ONE,) * (n - 1), params, spec.variant))
     for i in range(n + 1):
         if i == 0:
             if fam.r == 1:
@@ -222,41 +218,23 @@ def check_routes_agree(spec: CoidealSpec, params: Params) -> Report:
     return rep
 
 
+_COIDEAL_NAMES = {0: "commute", -1: "cubic", -2: "quartic"}
+
+
 def check_onsager_relations(bs, cartan, params: Params) -> Report:
     """Verify the deformed commutation relations dictated by the Cartan matrix."""
     rep = Report("coideal generator relations")
-    p = params.p
-    c3 = p ** 2 + p ** -2
-    c4 = p ** 2 + ONE + p ** -2
-    cq = (p + p ** -1) ** 2
     m = len(bs)
     for i in range(m):
         for j in range(m):
             if i == j:
                 continue
             aij = cartan[i][j]
-            if aij == 0:
-                diff = bs[i] @ bs[j] - bs[j] @ bs[i]
-                label = f"b{i} b{j} commute"
-            elif aij == -1:
-                diff = (bs[i] @ bs[i] @ bs[j]
-                        - (bs[i] @ bs[j] @ bs[i]).scale(c3)
-                        + bs[j] @ bs[i] @ bs[i]
-                        - bs[j])
-                label = f"b{i} b{j} cubic"
-            elif aij == -2:
-                b2 = bs[i] @ bs[i]
-                b3 = b2 @ bs[i]
-                diff = (b3 @ bs[j]
-                        - (b2 @ bs[j] @ bs[i]).scale(c4)
-                        + (bs[i] @ bs[j] @ b2).scale(c4)
-                        - bs[j] @ b3
-                        - (bs[i] @ bs[j] - bs[j] @ bs[i]).scale(cq))
-                label = f"b{i} b{j} quartic"
-            else:
+            diff = serre_residual(bs[i], bs[j], aij, params.p, inhomogeneous=True)
+            if diff is None:
                 rep.add(f"b{i} b{j}", False, f"unsupported cartan entry {aij}")
-                continue
-            rep.add_zero(label, diff)
+            else:
+                rep.add_zero(f"b{i} b{j} {_COIDEAL_NAMES[aij]}", diff)
     return rep
 
 
@@ -313,17 +291,9 @@ def hamiltonian_multi(zs, params: Params) -> Operator:
     n = len(zs)
     if n < 3:
         raise RangeError(f"cyclic chain needs n >= 3, got {n}")
-    zlist = bond_parameters(zs)
-    sp = _Spins(n)
-    qq = params.q + params.q ** -1
-    total = sp.eye.scale(gamma(params) * n)
-    for i in range(n):
-        a, b = (n, 1) if i == 0 else (i, i + 1)
-        zi = zlist[i]
-        total = total + (sp.sp[a] @ sp.sm[b]).scale(zi ** -1)
-        total = total + (sp.sm[a] @ sp.sp[b]).scale(zi)
-        total = total + (sp.sz[a] @ sp.sz[b]).scale(qq / 4)
-    return total
+    # the (sz_a - sz_b) parts of the bond terms cancel around the ring
+    return hamiltonian_from(_ring_terms(_Spins(n), bond_parameters(zs), params),
+                            (ONE,) * n)
 
 
 def tl_generators(n: int, params: Params) -> tuple:
@@ -354,7 +324,7 @@ def check_tl_relations(n: int, params: Params) -> Report:
                 diff = ts[i] @ ts[j] @ ts[i] - ts[i]
                 label = f"t{i + 1} t{j + 1} t{i + 1} contraction"
             else:
-                diff = ts[i] @ ts[j] - ts[j] @ ts[i]
+                diff = commutator(ts[i], ts[j])
                 label = f"t{i + 1} t{j + 1} commute"
             rep.add_zero(label, diff)
     # the shifted generators must also satisfy the cubic coideal relation
@@ -362,15 +332,9 @@ def check_tl_relations(n: int, params: Params) -> Report:
     dim = 1 << n
     eye = Operator.identity(dim)
     bs = [t - eye.scale(shift) for t in ts]
-    p = params.p
-    c3 = p ** 2 + p ** -2
     for i in range(m):
         for j in range(m):
-            if abs(i - j) != 1:
-                continue
-            diff = (bs[i] @ bs[i] @ bs[j]
-                    - (bs[i] @ bs[j] @ bs[i]).scale(c3)
-                    + bs[j] @ bs[i] @ bs[i]
-                    - bs[j])
-            rep.add_zero(f"shifted t{i + 1} t{j + 1} cubic", diff)
+            if abs(i - j) == 1:
+                rep.add_zero(f"shifted t{i + 1} t{j + 1} cubic",
+                             serre_residual(bs[i], bs[j], -1, params.p, inhomogeneous=True))
     return rep

@@ -457,15 +457,8 @@ _W_CANDIDATES = (
 
 def spectrum_suite(n: int, params: Params, attempts: int = 5) -> list:
     """Run every spectral certificate at n, resampling degenerate points."""
-    reports = []
-    for l in range(n + 1):
-        reports.append(_resample(
-            lambda z, w, l=l: verify_tr_spectrum(n, l, z, w, params), attempts))
-    reports.append(_resample(
-        lambda z, w: verify_k11_k21_joint(n, z, w, params), attempts))
-    reports.append(_resample(
-        lambda z, w: verify_k12_k22(n, z, params), attempts))
-    return reports
+    return [rep for tag in ("tr", "k11", "k12")
+            for rep in spectrum_family(tag, n, params, attempts)]
 
 
 def spectrum_family(tag: str, n: int, params: Params, attempts: int = 5) -> list:

@@ -8,8 +8,8 @@ are permutation-like and stored sparsely.
 
 from __future__ import annotations
 
-from .field import Params, Scalar
-from .linalg import Operator
+from .field import ONE, Params, Scalar
+from .linalg import Operator, commutator
 from .report import Report
 
 FAMILIES = ("A1", "D2", "B1", "BT1", "D1")
@@ -241,6 +241,36 @@ def generators(fam: Family, params: Params) -> GeneratorSet:
     return GeneratorSet(fam, z, es, fs, kps, kms)
 
 
+def serre_residual(xi: Operator, xj: Operator, aij: int, p: Scalar,
+                   inhomogeneous: bool = False) -> Operator | None:
+    """lhs - rhs of the relation between xi and xj for Cartan entry aij.
+
+    aij = 0 gives the commutator, -1 the cubic and -2 the quartic q-Serre
+    polynomial in p.  With inhomogeneous=True the lower-order terms of the
+    coideal (deformed Dolan-Grady) relations are subtracted: xj from the
+    cubic, (p + 1/p)^2 [xi, xj] from the quartic.  Any other entry gives
+    None.
+    """
+    if aij == 0:
+        return commutator(xi, xj)
+    if aij not in (-1, -2):
+        return None
+    x2 = xi @ xi
+    if aij == -1:
+        diff = x2 @ xj - (xi @ xj @ xi).scale(p ** 2 + p ** -2) + xj @ x2
+        return diff - xj if inhomogeneous else diff
+    c4 = p ** 2 + ONE + p ** -2
+    x3 = x2 @ xi
+    xij = xi @ xj
+    diff = x3 @ xj - (x2 @ xj @ xi).scale(c4) + (xij @ x2).scale(c4) - xj @ x3
+    if inhomogeneous:
+        diff = diff - (xij - xj @ xi).scale((p + p ** -1) ** 2)
+    return diff
+
+
+_SERRE_NAMES = {0: "commute", -1: "cubic Serre", -2: "quartic Serre"}
+
+
 def check_defining_relations(fam: Family, gens: GeneratorSet, params: Params) -> Report:
     """Verify k-conjugation, e-f commutators and all Serre relations exactly."""
     rep = Report(f"defining relations {fam.tag} n={fam.n}")
@@ -256,38 +286,21 @@ def check_defining_relations(fam: Family, gens: GeneratorSet, params: Params) ->
             rep.add_zero(f"k{i} f{j} conjugation", diff)
     for i in range(m):
         for j in range(m):
-            diff = e[i] @ f[j] - f[j] @ e[i]
+            diff = commutator(e[i], f[j])
             if i == j:
                 pi = p ** fam.pexp[i]
                 diff = diff - (kp[i] - km[i]).scale((pi - pi ** -1) ** -1)
             rep.add_zero(f"e{i} f{j} commutator", diff)
-    c3 = p ** 2 + p ** -2
-    c4 = p ** 2 + Scalar(1, 0, 1) + p ** -2
     for x, sym in ((e, "e"), (f, "f")):
         for i in range(m):
             for j in range(m):
                 if i == j:
                     continue
                 aij = a[i][j]
-                if aij == 0:
-                    diff = x[i] @ x[j] - x[j] @ x[i]
-                    label = f"{sym}{i} {sym}{j} commute"
-                elif aij == -1:
-                    diff = (x[i] @ x[i] @ x[j]
-                            - (x[i] @ x[j] @ x[i]).scale(c3)
-                            + x[j] @ x[i] @ x[i])
-                    label = f"{sym}{i} {sym}{j} cubic Serre"
-                elif aij == -2:
-                    x2 = x[i] @ x[i]
-                    x3 = x2 @ x[i]
-                    diff = (x3 @ x[j]
-                            - (x2 @ x[j] @ x[i]).scale(c4)
-                            + (x[i] @ x[j] @ x2).scale(c4)
-                            - x[j] @ x3)
-                    label = f"{sym}{i} {sym}{j} quartic Serre"
-                else:
+                diff = serre_residual(x[i], x[j], aij, p)
+                if diff is None:
                     rep.add(f"{sym}{i} {sym}{j} cartan entry", False,
                             f"unsupported a[{i}][{j}] = {aij}")
-                    continue
-                rep.add_zero(label, diff)
+                else:
+                    rep.add_zero(f"{sym}{i} {sym}{j} {_SERRE_NAMES[aij]}", diff)
     return rep

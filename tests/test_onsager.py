@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from onsk import onsager
 from onsk.field import Scalar, make_params, sample_params
-from onsk.linalg import Operator
+from onsk.linalg import Operator, first_entry
 from onsk.onsager import (
     CoidealSpec,
     SpecError,
@@ -275,3 +276,35 @@ def test_tl_relations():
         assert rep.passed, rep.failures()
     with pytest.raises(RangeError):
         tl_generators(2, PARAMS)
+
+
+def test_tl_negative_control(monkeypatch):
+    n, params = 3, sample_params(0)
+    ts = list(tl_generators(n, params))
+    r, c, v = first_entry(ts[0])
+    ts[0] = ts[0].copy()
+    ts[0].set(r, c, v + Scalar(1, 0, 97))
+    monkeypatch.setattr(onsager, "tl_generators", lambda n, params: tuple(ts))
+    rep = check_tl_relations(n, params)
+    failed = rep.failures()
+    assert failed[0].name == "t1 idempotent-type"
+    qq = params.q + params.q ** -1
+    w = first_entry(ts[0] @ ts[0] - ts[0].scale(qq))
+    assert failed[0].detail == f"residual at ({w[0]},{w[1]}): {w[2]}"
+    assert "shifted t1 t2 cubic" in [c.name for c in failed]
+
+
+def test_routes_agree_negative_control(monkeypatch):
+    spec = CoidealSpec(make_family("D2", 2), 1, 1)
+    local_spin_route = onsager.pauli_generators
+
+    def bumped(spec, params):
+        bs = list(local_spin_route(spec, params))
+        bs[1] = bs[1].copy()
+        bs[1].add_to(2, 1, Scalar(1, 0, 97))
+        return tuple(bs)
+
+    monkeypatch.setattr(onsager, "pauli_generators", bumped)
+    rep = check_routes_agree(spec, PARAMS)
+    assert [c.name for c in rep.failures()] == ["b1 embedding vs local-spin"]
+    assert rep.failures()[0].detail == "first difference at (2,1): -1/97+0/1*i"

@@ -2,6 +2,7 @@ import pytest
 
 from onsk.field import Scalar, make_params, sample_params
 from onsk.linalg import Operator
+from onsk.onsager import CoidealSpec, onsager_generators
 from onsk.spinrep import (
     FAMILIES,
     RangeError,
@@ -10,6 +11,7 @@ from onsk.spinrep import (
     global_flip,
     local_spin,
     make_family,
+    serre_residual,
 )
 
 ONE = Scalar(1)
@@ -187,3 +189,28 @@ def test_defining_relations_negative_control():
     rep = check_defining_relations(fam, bad, params)
     assert not rep.passed
     assert any("e1 f1" in c.name for c in rep.failures())
+
+
+def test_serre_residual_every_entry_and_negative_control():
+    # D2 n=2 has all three off-diagonal Cartan entries:
+    # a[0][2] = 0, a[1][0] = -1, a[0][1] = -2
+    fam = make_family("D2", 2)
+    params = sample_params(0)
+    p = params.p
+    gens = generators(fam, params)
+    bs = onsager_generators(CoidealSpec(fam, 1, 1), params)
+    pairs = ((0, 2), (1, 0), (0, 1))
+    assert [fam.cartan[i][j] for i, j in pairs] == [0, -1, -2]
+    # the bump goes into xi: on two sites e0 and f0 square to zero and b0
+    # acts on one site, so the quartic vanishes for every xj
+    for xs, inhomogeneous in ((gens.e, False), (gens.f, False), (bs, True)):
+        for i, j in pairs:
+            aij = fam.cartan[i][j]
+            assert serre_residual(xs[i], xs[j], aij, p, inhomogeneous).is_zero()
+            bumped = xs[i].copy()
+            bumped.add_to(0, 0, Scalar(1, 0, 97))
+            assert not serre_residual(bumped, xs[j], aij, p, inhomogeneous).is_zero()
+    # the coideal generators need the lower-order terms
+    for i, j in pairs[1:]:
+        assert not serre_residual(bs[i], bs[j], fam.cartan[i][j], p).is_zero()
+    assert serre_residual(gens.e[0], gens.e[1], -3, p) is None
