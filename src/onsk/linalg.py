@@ -223,6 +223,16 @@ def _sparse(rows):
     return ({c: v for c, v in enumerate(row) if not v.is_zero()} for row in rows)
 
 
+def pivot_columns(rows) -> list:
+    """Leading columns of an echelon form of the given dense rows, ascending.
+
+    They depend only on the span of the rows: each is the first nonzero
+    column of some vector in it, so restricting the span to them is
+    injective.
+    """
+    return sorted(_reduce(_sparse(rows)))
+
+
 def rank_rows(rows) -> int:
     return len(_reduce(_sparse(rows)))
 

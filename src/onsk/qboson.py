@@ -277,28 +277,38 @@ def _pb_lower(x: Fraction, terms: int = 25) -> Fraction:
     return head * rest
 
 
-def _eta_ket_component(kind: int, v: int, q: Fraction) -> Fraction:
-    if v % kind:
-        return Fraction(0)
-    base = q ** (kind * kind)
-    out = Fraction(1)
-    cur = base
-    for _ in range(v // kind):
-        out *= 1 - cur
-        cur *= base
-    return 1 / out
+def _fock_tables(q: Fraction, zq: Fraction, bra: int, ket: int, top: int, qtop: int):
+    """Exact prefix tables for the oracle, each built in O(length) Fraction products.
 
+    Returns (qpow, zpow, poch2, ket_comps, bra_comps): q^n for n <= qtop
+    (qtop >= 2 * top), and zq^w, (q^2; q^2)_v and the boundary components
+    for v <= top.  The eta_ket component is 1/(b; b)_{v/ket} with
+    b = q^{ket^2}; the eta_bra component times (q^2; q^2)_v is (-q; q)_v
+    for bra 1 and (q^2; q^4)_{v/2} for bra 2.  Both vanish off multiples
+    of their kind.
+    """
+    qpow = [Fraction(1)]
+    for _ in range(qtop):
+        qpow.append(qpow[-1] * q)
+    zpow = [Fraction(1)]
+    poch2 = [Fraction(1)]
+    for v in range(1, top + 1):
+        zpow.append(zpow[-1] * zq)
+        poch2.append(poch2[-1] * (1 - qpow[2 * v]))
 
-def _eta_bra_component(kind: int, v: int, q: Fraction) -> Fraction:
-    if v % kind:
-        return Fraction(0)
-    out = _eta_ket_component(kind, v, q)
-    q2 = q * q
-    cur = q2
-    for _ in range(v):
-        out *= 1 - cur
-        cur *= q2
-    return out
+    def comps(kind, step):
+        out = [Fraction(1)] + [Fraction(0)] * top
+        for v in range(kind, top + 1, kind):
+            out[v] = out[v - kind] * step(v)
+        return out
+
+    # b^{v/ket} = q^{ket v}
+    ket_comps = comps(ket, lambda v: 1 / (1 - qpow[ket * v]))
+    if bra == 1:
+        bra_comps = comps(1, lambda v: 1 + qpow[v])
+    else:
+        bra_comps = comps(2, lambda v: 1 - qpow[2 * v - 2])
+    return qpow, zpow, poch2, ket_comps, bra_comps
 
 
 def _real(x: Scalar, what: str) -> Fraction:
@@ -331,22 +341,21 @@ def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int,
             raise TailBoundError("mixed weight parity in a (2,2) contraction")
         parity = pars.pop() if pars else 0
 
-    def word_sum(wterms, cutoff):
+    def word_sum(wterms, cutoff, tables):
+        qpow, zpow, poch2, ket_comps, bra_comps = tables
         total = Fraction(0)
         for i, m, j, c in wterms:
-            # exact matrix elements: z^h ap^i k^m am^j acting on |v>
+            # exact matrix elements: z^h ap^i k^m am^j acting on |v>, where
+            # prod_{l<j} (1 - q^{2(v-l)}) = (q^2; q^2)_v / (q^2; q^2)_{v-j}
             for v in range(j, cutoff + 1):
-                av = _eta_ket_component(ket, v, q)
+                av = ket_comps[v]
                 if av == 0:
                     continue
                 w = v - j + i
-                bw = _eta_bra_component(bra, w, q)
+                bw = bra_comps[w]
                 if bw == 0:
                     continue
-                prod = Fraction(1)
-                for l in range(j):
-                    prod *= 1 - q ** (2 * (v - l))
-                total += c * av * bw * (zq ** w) * (q ** (m * (v - j))) * prod
+                total += c * av * bw * zpow[w] * qpow[m * (v - j)] * (poch2[v] / poch2[v - j])
         return total
 
     def word_tail(wterms, cutoff):
@@ -357,10 +366,14 @@ def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int,
         return tail
 
     unit = [(0, 0, 0, Fraction(1))]
+    climb = max([0] + [i - j for i, _, j, _ in terms])
+    mmax = max([0] + [m for _, m, _, _ in terms])
     cutoff = 64
     while True:
-        nhat = word_sum(terms, cutoff)
-        dhat = word_sum(unit, cutoff)
+        top = cutoff + climb
+        tables = _fock_tables(q, zq, bra, ket, top, max(2 * top, mmax * cutoff))
+        nhat = word_sum(terms, cutoff, tables)
+        dhat = word_sum(unit, cutoff, tables)
         en = word_tail(terms, cutoff)
         ed = word_tail(unit, cutoff)
         if parity == 1:

@@ -14,6 +14,7 @@ operator dictionary before applying it to the product boundary vector.
 from __future__ import annotations
 
 from .field import ONE, ZERO, Params, Scalar, _coerce
+from .linalg import pivot_columns
 from .poch import poch
 from .report import Report
 from .spinrep import RangeError
@@ -302,44 +303,40 @@ def delta_op(poly, params: Params) -> TensorOp4:
 # exact comparison on margin-safe boxes
 
 
-def _pure_sum_zero(items, n: int) -> bool:
-    """Whether sum of coeff * v1 (x) v2 (x) v3 (x) v4 vanishes on the n-box."""
-    pairs: dict = {}
-    for coeff, v1, v2, v3, v4 in items:
-        key = (v3, v4)
-        arr = pairs.get(key)
-        if arr is None:
-            arr = [[ZERO] * n for _ in range(n)]
-            pairs[key] = arr
-        for i1, a in enumerate(v1):
-            c1 = coeff * a
-            if c1.is_zero():
-                continue
-            row = arr[i1]
-            for i2, b in enumerate(v2):
-                if not b.is_zero():
-                    row[i2] = row[i2] + c1 * b
+def _pure_sum_zero(items) -> bool:
+    """Whether sum of coeff * v1 (x) v2 (x) v3 (x) v4 vanishes.
+
+    Each slot's vectors are echelonised; a pivot row is zero left of its
+    leading column and 1 there, so restricting that slot's span to its
+    pivot columns P_s is injective.  A tensor product of injective maps is
+    injective, so the sum vanishes iff it vanishes on P1 x P2 x P3 x P4.
+    """
+    cols = [pivot_columns(dict.fromkeys(item[slot] for item in items)) for slot in (1, 2, 3, 4)]
     total: dict = {}
-    for (v3, v4), arr in pairs.items():
-        live = [(i1, i2) for i1 in range(n) for i2 in range(n)
-                if not arr[i1][i2].is_zero()]
-        if not live:
-            continue
-        for i3 in range(n):
-            c = v3[i3]
-            if c.is_zero():
-                continue
-            for i4 in range(n):
-                s = c * v4[i4]
-                if s.is_zero():
-                    continue
-                t2 = total.get((i3, i4))
-                if t2 is None:
-                    t2 = [[ZERO] * n for _ in range(n)]
-                    total[(i3, i4)] = t2
-                for i1, i2 in live:
-                    t2[i1][i2] = t2[i1][i2] + arr[i1][i2] * s
-    return all(v.is_zero() for t2 in total.values() for row in t2 for v in row)
+    for coeff, *vecs in items:
+        part = {(): coeff}
+        for vec, pivots in zip(vecs, cols):
+            part = {key + (p,): c * vec[p] for key, c in part.items()
+                    for p in pivots if not vec[p].is_zero()}
+        for key, c in part.items():
+            cur = total.get(key)
+            total[key] = c if cur is None else cur + c
+    return all(c.is_zero() for c in total.values())
+
+
+def _slot_items(terms, image):
+    """(coeff, v1, v2, v3, v4) per term, with image(slot, word) run once per pair."""
+    memo: dict = {}
+    items = []
+    for coeff, words in terms:
+        vecs = []
+        for slot, word in enumerate(words):
+            vec = memo.get((slot, word))
+            if vec is None:
+                vec = memo[(slot, word)] = image(slot, word)
+            vecs.append(vec)
+        items.append((coeff, *vecs))
+    return items
 
 
 def _op_vanishes(op: TensorOp4, M: int, params: Params) -> bool:
@@ -351,28 +348,15 @@ def _op_vanishes(op: TensorOp4, M: int, params: Params) -> bool:
     if M < margin:
         raise TruncationMarginError(f"cutoff {M} below margin {margin}")
     modes = range(M - margin + 1)
-    n = len(modes)
-    fcache: dict = {}
 
-    def fvec(slot, word):
-        key = (slot, word)
-        vals = fcache.get(key)
-        if vals is None:
-            base = _SLOT_BASES[slot]
-            vals = tuple(_word_value(word, m, base, params, M)[1] for m in modes)
-            fcache[key] = vals
-        return vals
+    def coefficients(slot, word):
+        base = _SLOT_BASES[slot]
+        return tuple(_word_value(word, m, base, params, M)[1] for m in modes)
 
     groups: dict = {}
-    for coeff, words in terms:
-        net = tuple(_word_shift(w) for w in words)
-        groups.setdefault(net, []).append((coeff, words))
-    for grp in groups.values():
-        items = [(coeff, fvec(0, w[0]), fvec(1, w[1]), fvec(2, w[2]), fvec(3, w[3]))
-                 for coeff, w in grp]
-        if not _pure_sum_zero(items, n):
-            return False
-    return True
+    for (_, words), item in zip(terms, _slot_items(terms, coefficients)):
+        groups.setdefault(tuple(_word_shift(w) for w in words), []).append(item)
+    return all(_pure_sum_zero(grp) for grp in groups.values())
 
 
 def ops_agree(a: TensorOp4, b: TensorOp4, M: int, params: Params) -> bool:
@@ -554,15 +538,11 @@ def _derive_terms(terms, params: Params, allow_indirect: bool):
 
 
 def _kills_vector(op: TensorOp4, xi: XiVector, bound: int, params: Params) -> bool:
-    cutoff = xi.cutoff
-    items = []
-    for coeff, words in op.simplified().terms:
-        vecs = []
-        for i in range(4):
-            full = _word_on_vector(words[i], xi.factors[i], _SLOT_BASES[i], params, cutoff)
-            vecs.append(tuple(full[: bound + 1]))
-        items.append((coeff, vecs[0], vecs[1], vecs[2], vecs[3]))
-    return _pure_sum_zero(items, bound + 1)
+    def image(slot, word):
+        full = _word_on_vector(word, xi.factors[slot], _SLOT_BASES[slot], params, xi.cutoff)
+        return tuple(full[: bound + 1])
+
+    return _pure_sum_zero(_slot_items(op.simplified().terms, image))
 
 
 def _slot_terms_on_vector(terms, vec, base: str, params: Params, cutoff: int):

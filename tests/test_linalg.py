@@ -6,6 +6,7 @@ from onsk.linalg import (
     first_entry,
     nullspace,
     nullspace_rows,
+    pivot_columns,
     rank,
     rank_rows,
 )
@@ -104,6 +105,10 @@ def test_echelon_insert_rank():
     echelon_insert(fresh, {})
     assert len(fresh) == 1
     assert rank_rows(ROWS) == 2
+    # pivot columns depend on the span, not on the order of the rows
+    assert pivot_columns(ROWS) == [0, 1]
+    assert pivot_columns([ROWS[2], ROWS[1]]) == [0, 1]
+    assert pivot_columns([[Scalar(0), Scalar(0), Scalar(4)], [Scalar(0)] * 3]) == [2]
     assert rank(mat([[1, 2], [2, 4]])) == 1
     assert rank(mat([[0, 0, 5], [0, 3, 1], [0, 6, 2]])) == 2
     assert rank(Operator.identity(4)) == 4

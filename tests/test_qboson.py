@@ -5,8 +5,10 @@ import pytest
 from onsk.field import Scalar, make_params, sample_params
 from onsk.poch import poch
 from onsk.qboson import (
+    NormalForm,
     QBosonEngine,
     TailBoundError,
+    _pb_lower,
     boundary_contract,
     boundary_contract_oracle,
     eliminate_annihilators,
@@ -180,3 +182,112 @@ def test_oracle_rejects_bad_regimes():
     big_z = make_params(Scalar(2, 0, 5), Scalar(2))
     with pytest.raises(TailBoundError):
         boundary_contract_oracle(big_z, word(QBosonEngine(big_z), Scalar(2), "k"), 1, 1)
+
+
+def _reference_oracle(params, nf, bra, ket, target=Fraction(1, 10 ** 25)):
+    # the summed-series oracle with every Fock component recomputed per v,
+    # as written before the prefix tables; also returns the cutoff reached
+    t = params.t.re
+    zq = nf.xarg.re
+    q = -t * t
+    pb = _pb_lower(t * t)
+    terms = [(i, m, j, c.re) for (i, m, j), c in nf.terms.items()]
+    parity = None
+    if bra == 2 and ket == 2:
+        pars = {(i + m + j) % 2 for i, m, j, _ in terms}
+        assert len(pars) == 1
+        parity = pars.pop()
+
+    def ket_comp(kind, v):
+        if v % kind:
+            return Fraction(0)
+        base = q ** (kind * kind)
+        out = Fraction(1)
+        cur = base
+        for _ in range(v // kind):
+            out *= 1 - cur
+            cur *= base
+        return 1 / out
+
+    def bra_comp(kind, v):
+        out = ket_comp(kind, v)
+        q2 = q * q
+        cur = q2
+        for _ in range(v):
+            out *= 1 - cur
+            cur *= q2
+        return out
+
+    def word_sum(wterms, cutoff):
+        total = Fraction(0)
+        for i, m, j, c in wterms:
+            for v in range(j, cutoff + 1):
+                av = ket_comp(ket, v)
+                if av == 0:
+                    continue
+                w = v - j + i
+                bw = bra_comp(bra, w)
+                if bw == 0:
+                    continue
+                prod = Fraction(1)
+                for l in range(j):
+                    prod *= 1 - q ** (2 * (v - l))
+                total += c * av * bw * (zq ** w) * (q ** (m * (v - j))) * prod
+        return total
+
+    def word_tail(wterms, cutoff):
+        geo = (zq ** (cutoff + 1)) / (1 - zq)
+        return sum(abs(c) * (2 ** j) * (zq ** (i - j)) / (pb * pb) * geo for i, m, j, c in wterms)
+
+    unit = [(0, 0, 0, Fraction(1))]
+    cutoff = 64
+    while True:
+        nhat, dhat = word_sum(terms, cutoff), word_sum(unit, cutoff)
+        en, ed = word_tail(terms, cutoff), word_tail(unit, cutoff)
+        bound = None
+        if parity == 1:
+            value = nhat * dhat
+            bound = en * abs(dhat) + abs(nhat) * ed + en * ed
+        else:
+            lbd = 2 * dhat * dhat / (1 + dhat * dhat) - ed
+            if lbd > 0:
+                value = nhat / dhat
+                bound = (en * abs(dhat) + abs(nhat) * ed) / (lbd * abs(dhat))
+        if bound is not None and bound <= target:
+            return value, bound, cutoff
+        cutoff *= 2
+
+
+def test_oracle_tables_match_per_component_reference():
+    # the prefix tables hold the same exact Fractions as the per-v
+    # recomputation, so (value, bound) must be identical, not just close;
+    # -+k normal-orders to two odd-weight terms (the odd (2,2) convention),
+    # and t=1/3, z=1/2 needs one doubling of the cutoff
+    points = ((sample_params(1, contracting=True), ("-+k", "+-")),
+              (make_params(Scalar(1, 0, 3), Scalar(1, 0, 2)), ("k",)))
+    cutoffs = set()
+    for params, words in points:
+        eng = QBosonEngine(params)
+        for bra in (1, 2):
+            for ket in (1, 2):
+                for letters in words:
+                    nf = word(eng, params.z, letters)
+                    value, bound, cutoff = _reference_oracle(params, nf, bra, ket)
+                    assert boundary_contract_oracle(params, nf, bra, ket) == (value, bound)
+                    cutoffs.add(cutoff)
+    assert cutoffs == {64, 128}
+
+
+def test_oracle_negative_control():
+    # one normal-form coefficient bumped by 1/97: the certified interval
+    # around the oracle value must exclude the exact contraction
+    params = sample_params(1, contracting=True)
+    eng = QBosonEngine(params)
+    for bra, ket in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        nf = word(eng, params.z, "-+k")
+        exact = boundary_contract(eng, nf, bra, ket)
+        key = min(nf.terms)
+        bumped = NormalForm(dict(nf.terms), nf.xarg)
+        bumped.terms[key] = bumped.terms[key] + Scalar(1, 0, 97)
+        value, bound = boundary_contract_oracle(params, bumped, bra, ket)
+        assert abs(exact.re - value) > bound

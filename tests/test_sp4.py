@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from onsk.field import ONE, ZERO, Scalar, make_params, sample_params
@@ -11,6 +14,8 @@ from onsk.sp4 import (
     _boundary_ops,
     _derive_terms,
     _kills_vector,
+    _pure_sum_zero,
+    _slot_items,
     check_annihilation,
     check_lemma_identities,
     delta,
@@ -204,3 +209,93 @@ def test_annihilation_component_oracle():
 def test_derivation_gap():
     with pytest.raises(DerivationGap):
         _derive_terms([(ONE, "1", (("A+", "A+"), (), (), ()))], PARAMS, True)
+
+
+def _full_box_zero(items):
+    # reference: evaluate the four-slot sum on every entry of the full box
+    n = len(items[0][1])
+    for idx in itertools.product(range(n), repeat=4):
+        total = ZERO
+        for coeff, *vecs in items:
+            term = coeff
+            for vec, i in zip(vecs, idx):
+                term = term * vec[i]
+            total = total + term
+        if not total.is_zero():
+            return False
+    return True
+
+
+def _gauss(rng):
+    while True:
+        x = Scalar(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 4))
+        if not x.is_zero():
+            return x
+
+
+def _vec(rng, n):
+    vec = [_gauss(rng) if rng.random() < 0.5 else ZERO for _ in range(n)]
+    vec[rng.randrange(n)] = _gauss(rng)
+    return tuple(vec)
+
+
+def _planted(rng, n):
+    # (u + v) (x) w (x) x (x) y - u (x) w (x) x (x) y - v (x) w (x) x (x) y
+    # in a random slot, three times over, shuffled: the sum vanishes
+    items = []
+    for _ in range(3):
+        coeff = _gauss(rng)
+        vecs = [_vec(rng, n) for _ in range(4)]
+        slot = rng.randrange(4)
+        u = _vec(rng, n)
+        both = tuple(a + b for a, b in zip(u, vecs[slot]))
+        items.append((coeff, *vecs[:slot], both, *vecs[slot + 1:]))
+        items.append((-coeff, *vecs[:slot], u, *vecs[slot + 1:]))
+        items.append((-coeff, *vecs))
+    rng.shuffle(items)
+    return items
+
+
+def test_pure_sum_zero_matches_full_box():
+    for seed in range(6):
+        rng = random.Random(seed)
+        items = _planted(rng, 4)
+        assert _full_box_zero(items) and _pure_sum_zero(items)
+        # one entry of one slot vector moved: c * d e_i (x) w (x) x (x) y != 0
+        k, slot, i = rng.randrange(len(items)), rng.randrange(1, 5), rng.randrange(4)
+        vec = list(items[k][slot])
+        vec[i] = vec[i] + Scalar(1, 0, 97)
+        moved = list(items[k])
+        moved[slot] = tuple(vec)
+        bumped = items[:k] + [tuple(moved)] + items[k + 1:]
+        assert not _full_box_zero(bumped) and not _pure_sum_zero(bumped)
+        unplanted = [(_gauss(rng), *(_vec(rng, 4) for _ in range(4))) for _ in range(3)]
+        assert _pure_sum_zero(unplanted) == _full_box_zero(unplanted)
+
+
+def test_pure_sum_zero_pivots_of_the_whole_slot_span():
+    # the only nonzero entry sits at slot-1 column 2, a pivot of the slot's
+    # span but not of the first item's vector e0: pivots taken from a
+    # subset of the items would miss it
+    e = [tuple(ONE if c == r else ZERO for c in range(3)) for r in range(3)]
+    w = (ONE, Scalar(2), ZERO)
+    items = [(ONE, e[0], w, w, e[1]), (-ONE, e[0], w, w, e[1]), (Scalar(1, 1), e[2], w, w, e[1])]
+    assert not _full_box_zero(items)
+    assert not _pure_sum_zero(items)
+    assert _pure_sum_zero(items[:2])
+
+
+def test_slot_items_memo_per_slot_and_word():
+    # each distinct (slot, word) is imaged once; the same word in two slots
+    # is two images (the empty word acts on chi in slot 1, on eta in slot 2)
+    calls = []
+
+    def image(slot, word):
+        calls.append((slot, word))
+        return (slot, word)
+
+    terms = [(ONE, ((), (), ("K",), ("k",))), (Q, ((), (), ("K",), ("a+",)))]
+    items = _slot_items(terms, image)
+    assert items == [(ONE, (0, ()), (1, ()), (2, ("K",)), (3, ("k",))),
+                     (Q, (0, ()), (1, ()), (2, ("K",)), (3, ("a+",)))]
+    assert len(calls) == len(set(calls)) == 5
