@@ -5,8 +5,12 @@ Subcommands:
   dump      print one constructed object as sparse (row, col, value) entries
   spectrum  print eigenvalue certificates, by default as CSV rows
 
-Exit status is 0 when every check passes, 1 when any check fails (the first
-failing identity is named on stderr) and 2 for configuration errors.  The
+Spectral certificates are proved at the reported z and at a second point
+w, the z of the first later seed that is neither z nor 1/z; JSON output
+names w.  Exit status is 0 when every check passes, 1 when any check fails
+(the first failing identity is named on stderr) and 2 for configuration
+errors, among them a spectral point at which two closed-form eigenvalues
+of one certificate coincide (stderr names the point).  The
 environment variable ONSK_SEED overrides --seed.  Parameter literals are
 exact rationals, "3/5" or "1/2+2/3*i".  Runs with the same seed and flags
 produce byte-identical reports apart from the elapsed_ms field of JSON
@@ -21,7 +25,7 @@ import os
 import sys
 import time
 
-from .field import (BadLiteral, GenericityError, Params, PoleError,
+from .field import (BadLiteral, GenericityError, Params, PoleError, Scalar,
                     format_scalar, make_params, parse_scalar, sample_params)
 from .kmatrix import (ZeroNormalizer, build_kkk, build_ktr,
                       check_commutativity, check_intertwining,
@@ -46,9 +50,9 @@ _SUITE_ORDER = ("defining-relations", "onsager", "kmatrix", "spectra", "sp4")
 # chain family -> eigenvalue family of its K matrix
 _SPECTRAL_TAG = {"A1": "tr", "D2": "k11", "B1": "k21", "BT1": "k12", "D1": "k22"}
 
-_CONFIG_ERRORS = (BadLiteral, GenericityError, PoleError, RangeError,
-                  SpecError, TruncationMarginError, ZeroNormalizer,
-                  ZeroParameter, OSError)
+_CONFIG_ERRORS = (BadLiteral, DegenerateEigenvalues, GenericityError,
+                  PoleError, RangeError, SpecError, TruncationMarginError,
+                  ZeroNormalizer, ZeroParameter, OSError)
 
 
 class ConfigError(ValueError):
@@ -185,6 +189,22 @@ def resolved_params(cfg: RunConfig) -> Params:
                        cfg.mu if cfg.mu is not None else base.mu)
 
 
+def _second_point(cfg: RunConfig, params: Params) -> Scalar:
+    """The spectral point w paired with params.z in two-point checks.
+
+    It is the z of the first seed after cfg.seed whose sampled z is
+    neither z nor 1/z; at w = 1/z the trace composition K(w)K(z) is the
+    identity and its eigenvalues all coincide.
+    """
+    z = params.z
+    seed = cfg.seed
+    while True:
+        seed += 1
+        w = sample_params(seed).z
+        if w != z and w != z.inverse():
+            return w
+
+
 def _family(cfg: RunConfig) -> Family:
     what = cfg.suite or cfg.target or cfg.subcommand
     if cfg.family is None:
@@ -230,22 +250,21 @@ def _suite_kmatrix(cfg: RunConfig, params: Params) -> Report:
     spec = _coideal(cfg, fam)
     rep = Report("kmatrix suite")
     if fam.tag == "A1":
-        alt = sample_params(cfg.seed + 1)
-        w = alt.z if alt.z != params.z else alt.z.inverse()
         rep.extend(check_unitarity(fam.n, params.z, params))
-        rep.extend(check_commutativity(fam.n, params.z, w, params))
+        rep.extend(check_commutativity(fam.n, params.z,
+                                       _second_point(cfg, params), params))
     rep.extend(check_intertwining(spec, params))
     rep.extend(check_kh_commute(spec, params))
     return rep
 
 
-def _spectral_reports(cfg: RunConfig, params: Params) -> list:
+def _spectral_reports(cfg: RunConfig, params: Params, w: Scalar) -> list:
     if cfg.n is None:
         raise ConfigError("--n is required for spectral certificates")
     if cfg.family is None:
-        return spectrum_suite(cfg.n, params)
+        return spectrum_suite(cfg.n, params, w)
     fam = _family(cfg)
-    return spectrum_family(_SPECTRAL_TAG[fam.tag], fam.n, params)
+    return spectrum_family(_SPECTRAL_TAG[fam.tag], fam.n, params, w)
 
 
 def _spectral_checks(reports) -> Report:
@@ -275,7 +294,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     params = resolved_params(cfg)
     wanted = _SUITE_ORDER if cfg.suite == "all" else (cfg.suite,)
     rep = Report(f"verify {cfg.suite}")
-    spectral = None
+    w = None
     for suite in wanted:
         if suite == "defining-relations":
             rep.extend(_suite_defining(cfg, params))
@@ -284,19 +303,16 @@ def cmd_verify(cfg: RunConfig) -> int:
         elif suite == "kmatrix":
             rep.extend(_suite_kmatrix(cfg, params))
         elif suite == "spectra":
-            try:
-                spectral = _spectral_reports(cfg, params)
-            except DegenerateEigenvalues as exc:
-                rep.add("generic spectral sample", False, str(exc))
-            else:
-                rep.extend(_spectral_checks(spectral))
+            w = _second_point(cfg, params)
+            spectral = _spectral_reports(cfg, params, w)
+            rep.extend(_spectral_checks(spectral))
         else:
             rep.extend(_suite_sp4(cfg, params))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    if cfg.format == "csv" and cfg.suite == "spectra" and spectral is not None:
+    if cfg.format == "csv" and cfg.suite == "spectra":
         text = spectra_csv(spectral)
     else:
-        text = _render_checks(cfg, rep, params, elapsed_ms)
+        text = _render_checks(cfg, rep, params, elapsed_ms, w)
     _emit(cfg, text)
     return _verdict(rep)
 
@@ -325,12 +341,14 @@ def _csv_field(s: str) -> str:
 
 
 def _render_checks(cfg: RunConfig, rep: Report, params: Params,
-                   elapsed_ms: int) -> str:
+                   elapsed_ms: int, w=None) -> str:
     if cfg.format == "json":
         doc = {"suite": cfg.suite or cfg.subcommand, "family": cfg.family,
-               "n": cfg.n, "params": _params_dict(params),
-               "checks": [c.to_dict() for c in rep.checks],
-               "elapsed_ms": elapsed_ms}
+               "n": cfg.n, "params": _params_dict(params)}
+        if w is not None:
+            doc["w"] = format_scalar(w)
+        doc["checks"] = [c.to_dict() for c in rep.checks]
+        doc["elapsed_ms"] = elapsed_ms
         return json.dumps(doc, indent=2) + "\n"
     if cfg.format == "csv":
         lines = ["name,status,detail"]
@@ -452,11 +470,8 @@ def cmd_dump(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     start = time.perf_counter()
     params = resolved_params(cfg)
-    try:
-        reports = _spectral_reports(cfg, params)
-    except DegenerateEigenvalues as exc:
-        print(f"FAIL: generic spectral sample [{exc}]", file=sys.stderr)
-        return 1
+    w = _second_point(cfg, params)
+    reports = _spectral_reports(cfg, params, w)
     rep = _spectral_checks(reports)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     if cfg.format == "csv":
@@ -471,8 +486,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                              "status": "pass" if row.ok else "fail"})
         checks = [c.to_dict() for sr in reports for c in sr.checks.checks]
         doc = {"suite": "spectrum", "family": cfg.family, "n": cfg.n,
-               "params": _params_dict(params), "rows": rows,
-               "checks": checks, "elapsed_ms": elapsed_ms}
+               "params": _params_dict(params), "w": format_scalar(w),
+               "rows": rows, "checks": checks, "elapsed_ms": elapsed_ms}
         text = json.dumps(doc, indent=2) + "\n"
     else:
         text = _render_checks(cfg, rep, params, elapsed_ms)

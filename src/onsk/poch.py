@@ -1,19 +1,8 @@
-"""Finite q-Pochhammer products and a ledger for ratios of infinite ones.
-
-An infinite product tail is recorded symbolically as
-    prod_{j>=0} (1 - s * sigma^j * t^(a+j*b) * z^e)
-with s in {+1, -1}.  Ratios whose tails cancel reduce to finite products;
-anything with a leftover tail is an error, since only exact values are
-allowed here.
-"""
+"""Finite q-Pochhammer products and Gaussian binomial coefficients."""
 
 from __future__ import annotations
 
 from .field import ONE, PoleError, Scalar
-
-
-class LedgerResidueError(ArithmeticError):
-    """Infinite-product tails did not cancel, so no finite value exists."""
 
 
 def poch(x: Scalar, q: Scalar, n: int) -> Scalar:
@@ -37,71 +26,3 @@ def qbinom(n: int, k: int, q: Scalar) -> Scalar:
     if den.is_zero():
         raise PoleError("qbinom denominator vanished; q is a root of unity")
     return num / den
-
-
-class PochLedger:
-    """Accumulates finite factors and infinite-product tails, then reduces.
-
-    Tails are grouped by (e, b, sigma, a mod b, s*sigma^floor(a/b)); within a
-    group the exponents must sum to zero, leaving a finite product.
-    """
-
-    def __init__(self, t: Scalar, z: Scalar):
-        self.t = t
-        self.z = z
-        self.value = ONE
-        self.inv = ONE
-        self._tails = []  # (exponent, s, a, e, sigma, b)
-
-    def mul(self, x: Scalar) -> "PochLedger":
-        self.value = self.value * x
-        return self
-
-    def div(self, x: Scalar) -> "PochLedger":
-        # inverse factors are collected and divided once, at reduce time
-        self.inv = self.inv * x
-        return self
-
-    def _term(self, s: int, a: int, e: int) -> Scalar:
-        return ONE - Scalar(s) * (self.t ** a) * (self.z ** e)
-
-    def add_finite(self, exponent: int, s: int, a: int, e: int) -> "PochLedger":
-        """Multiply (1 - s t^a z^e)^exponent."""
-        f = self._term(s, a, e)
-        if exponent >= 0:
-            self.mul(f ** exponent)
-        else:
-            self.div(f ** (-exponent))
-        return self
-
-    def add_tail(self, exponent: int, s: int, a: int, e: int, sigma: int, b: int) -> "PochLedger":
-        """Record prod_{j>=0} (1 - s sigma^j t^(a+jb) z^e) to the given power."""
-        if s not in (1, -1) or sigma not in (1, -1):
-            raise ValueError("tail signs must be +1 or -1")
-        if b <= 0:
-            raise ValueError("tail base exponent must be positive")
-        if exponent != 0:
-            self._tails.append((exponent, s, a, e, sigma, b))
-        return self
-
-    def reduce(self) -> Scalar:
-        groups: dict = {}
-        for exponent, s, a, e, sigma, b in self._tails:
-            a0 = a % b
-            k = (a - a0) // b
-            key = (e, b, sigma, a0, s * (sigma ** (k % 2)))
-            groups.setdefault(key, []).append((exponent, s, a))
-        for key, entries in groups.items():
-            e, b, sigma, _, _ = key
-            if sum(m for m, _, _ in entries) != 0:
-                raise LedgerResidueError(f"unbalanced infinite tail in group {key}")
-            a_ref = max(a for _, _, a in entries)
-            for m, s, a in entries:
-                steps = (a_ref - a) // b
-                sj = s
-                for j in range(steps):
-                    self.add_finite(m, sj, a + j * b, e)
-                    sj *= sigma
-        if self.inv.is_zero():
-            raise PoleError("infinite-product ratio hit a zero denominator factor")
-        return self.value / self.inv

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .field import ONE, ZERO, Params, PoleError, Scalar
-from .poch import PochLedger, poch, qbinom
+from .poch import poch, qbinom
 
 
 class TailBoundError(ArithmeticError):
@@ -218,19 +218,22 @@ def _base_bra2_ket1(engine, zarg, j, m):
 
 
 def _base_22(engine, zarg, j, m):
+    # The word part (q^{2j+2m+2} z^2; q^4)_inf / (q^{2m} z^2; q^4)_inf times
+    # the normalizer (q^2 z^2; q^4)_inf / (z^2; q^4)_inf, divided for even m
+    # and multiplied for odd m, cancels to a finite ratio; with m = 2u + r:
+    #   r = 0: (z^2; q^4)_u / (q^2 z^2; q^4)_{j/2+u}
+    #   r = 1: (q^2 z^2; q^4)_u / (z^2; q^4)_{j/2+u+1}
     if j % 2:
         return ZERO
-    t = engine.params.t
-    led = PochLedger(t, zarg)
-    led.mul((zarg ** j) * poch(engine.q ** 2, engine.q ** 4, j // 2))
-    # word part (q^{2j+2m+2} z^2; q^4)_inf / (q^{2m} z^2; q^4)_inf, all in base t^8
-    led.add_tail(1, 1, 4 * (j + m) + 4, 2, 1, 8)
-    led.add_tail(-1, 1, 4 * m, 2, 1, 8)
-    # normalizer (q^2 z^2;q^4)_inf/(z^2;q^4)_inf: divide for even m, multiply for odd
-    s = -1 if m % 2 == 0 else 1
-    led.add_tail(s, 1, 4, 2, 1, 8)
-    led.add_tail(-s, 1, 0, 2, 1, 8)
-    return led.reduce()
+    q2 = engine.q ** 2
+    q4 = q2 * q2
+    z2 = zarg ** 2
+    u, r = divmod(m, 2)
+    top, bottom = (z2, q2 * z2) if r == 0 else (q2 * z2, z2)
+    den = poch(bottom, q4, j // 2 + u + r)
+    if den.is_zero():
+        raise PoleError("boundary contraction pole")
+    return (zarg ** j) * poch(q2, q4, j // 2) * poch(top, q4, u) / den
 
 
 _BASES = {(1, 1): _base_11, (1, 2): _base_bra1_ket2,

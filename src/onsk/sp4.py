@@ -125,34 +125,31 @@ class TruncatedFock:
         return f"TruncatedFock(cutoff={self.cutoff}, base={self.base!r})"
 
 
+# nonzero entries (i, j) of the two 4x4 letter matrices, as
+# (sign, power of q, word): the coefficient is sign * q^power
+_PI_TABLE = {
+    1: {(1, 1): (1, 0, ("a-",)), (1, 2): (1, 0, ("k",)),
+        (2, 1): (-1, 1, ("k",)), (2, 2): (1, 0, ("a+",)),
+        (3, 3): (1, 0, ("a-",)), (3, 4): (-1, 0, ("k",)),
+        (4, 3): (1, 1, ("k",)), (4, 4): (1, 0, ("a+",))},
+    2: {(1, 1): (1, 0, ()), (2, 2): (1, 0, ("A-",)),
+        (2, 3): (1, 0, ("K",)), (3, 2): (-1, 2, ("K",)),
+        (3, 3): (1, 0, ("A+",)), (4, 4): (1, 0, ())},
+}
+
+
 def pi_matrix(which: int, i: int, j: int, params: Params):
     """Entry (i, j) of one of the two 4x4 letter matrices, as (coeff, word)."""
     if which not in (1, 2):
         raise RangeError(f"matrix label must be 1 or 2, got {which}")
     if not (1 <= i <= 4 and 1 <= j <= 4):
         raise RangeError(f"matrix indices must lie in 1..4, got ({i}, {j})")
-    q = params.q
-    if which == 1:
-        table = {
-            (1, 1): (ONE, ("a-",)),
-            (1, 2): (ONE, ("k",)),
-            (2, 1): (-q, ("k",)),
-            (2, 2): (ONE, ("a+",)),
-            (3, 3): (ONE, ("a-",)),
-            (3, 4): (-ONE, ("k",)),
-            (4, 3): (q, ("k",)),
-            (4, 4): (ONE, ("a+",)),
-        }
-    else:
-        table = {
-            (1, 1): (ONE, ()),
-            (2, 2): (ONE, ("A-",)),
-            (2, 3): (ONE, ("K",)),
-            (3, 2): (-(q * q), ("K",)),
-            (3, 3): (ONE, ("A+",)),
-            (4, 4): (ONE, ()),
-        }
-    return table.get((i, j), (ZERO, ()))
+    entry = _PI_TABLE[which].get((i, j))
+    if entry is None:
+        return ZERO, ()
+    sign, power, word = entry
+    coeff = params.q ** power
+    return (coeff if sign > 0 else -coeff), word
 
 
 class TensorOp4:

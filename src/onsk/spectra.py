@@ -7,13 +7,19 @@ each eigenvalue must have exactly the predicted rank.  Weight-sector
 blocks, their products and projector ranks are computed on the sparse
 Operator of onsk.linalg.  All arithmetic is exact, so a passing
 certificate is a proof for that parameter point.
+
+Certificates are proved at the caller's points: the spectral parameter
+params.z and, for the trace compositions and K_{2,1}, a second point w.
+Nothing here chooses a point.  Each certificate evaluates its closed
+forms first and raises DegenerateEigenvalues, naming the point, when two
+of them coincide there, before any K matrix is built.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .field import ONE, Params, PoleError, Scalar, _coerce
+from .field import ONE, Params, Scalar, _coerce, format_scalar
 from .kmatrix import build_kkk, build_ktr
 from .linalg import Operator, rank
 from .report import Report
@@ -26,26 +32,6 @@ class DegenerateEigenvalues(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # eigenvalue closed forms
-
-
-class EigenClosedForm:
-    """One eigenvalue family member: indices plus its evaluation rule."""
-
-    __slots__ = ("tag", "n", "l", "j", "fn")
-
-    def __init__(self, tag: str, n: int, l: int, j, fn) -> None:
-        self.tag = tag
-        self.n = n
-        self.l = l
-        self.j = j
-        self.fn = fn
-
-    def value(self, params: Params, z) -> Scalar:
-        return self.fn(params, _coerce(z))
-
-    def __repr__(self) -> str:
-        idx = f"l={self.l}" if self.j is None else f"l={self.l},j={self.j}"
-        return f"EigenClosedForm({self.tag}, n={self.n}, {idx})"
 
 
 def eval_rho_tr(n: int, l: int, j: int, z, params: Params) -> Scalar:
@@ -145,36 +131,6 @@ def eval_lambda_k22(n: int, l: int, z, params: Params) -> Scalar:
     return val
 
 
-_FORM_FNS = {
-    "tr": eval_rho_tr,
-    "k11": eval_lambda_k11,
-    "k21": eval_lambda_k21,
-    "k12": eval_lambda_k12,
-    "k22": eval_lambda_k22,
-}
-
-
-def closed_form(tag: str, n: int, l: int, j: int | None = None) -> EigenClosedForm:
-    """Bind one eigenvalue closed form to its indices."""
-    if tag not in _FORM_FNS:
-        raise RangeError(f"unknown eigenvalue family {tag!r}")
-    if tag == "tr":
-        if j is None:
-            raise RangeError("the cyclic family needs both l and j")
-        if not _in_wedge(n, l, j):
-            raise RangeError(f"(l, j)=({l}, {j}) outside the wedge for n={n}")
-        return EigenClosedForm(tag, n, l, j,
-                               lambda p, z, n=n, l=l, j=j: eval_rho_tr(n, l, j, z, p))
-    top = n
-    if tag == "k22":
-        top = n // 2 if n % 2 == 0 else (n - 1) // 2
-    if not 0 <= l <= top:
-        raise RangeError(f"l={l} outside 0..{top}")
-    fn = _FORM_FNS[tag]
-    return EigenClosedForm(tag, n, l, None,
-                           lambda p, z, n=n, l=l, fn=fn: fn(n, l, z, p))
-
-
 # ---------------------------------------------------------------------------
 # Lagrange projectors
 
@@ -183,12 +139,14 @@ def _sector(n: int, l: int) -> list:
     return [s for s in range(1 << n) if popcount(s) == l]
 
 
-def _assert_distinct(lams) -> None:
+def _assert_distinct(lams, what: str, **point) -> None:
+    """Reject a point where two eigenvalues of one certificate coincide."""
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
             if lams[i] == lams[j]:
+                at = ", ".join(f"{k}={format_scalar(v)}" for k, v in point.items())
                 raise DegenerateEigenvalues(
-                    f"eigenvalues {i} and {j} collide at the sample point")
+                    f"{what} eigenvalues {i} and {j} collide at {at}")
 
 
 def _lagrange(m, lams, factors, idx):
@@ -276,8 +234,11 @@ def spectra_csv(reports) -> str:
 
 
 def _certify(rep: SpectralReport, m, lams, rows_meta) -> list:
-    """Shared annihilation + rank certificate; returns the projectors."""
-    _assert_distinct(lams)
+    """Shared annihilation + rank certificate; returns the projectors.
+
+    The eigenvalues lams must be pairwise distinct; every caller asserts
+    that with _assert_distinct before it builds m.
+    """
     eye = Operator.identity(m.nrows)
     factors = [m - eye.scale(lam) for lam in lams]
     full = None
@@ -310,11 +271,6 @@ def verify_tr_spectrum(n: int, l: int, z, w, params: Params) -> SpectralReport:
         raise RangeError(f"l={l} outside 0..{n}")
     z = _coerce(z)
     w = _coerce(w)
-    kz = build_ktr(n, z, params).operator
-    kw = build_ktr(n, w, params).operator
-    vl = _sector(n, l)
-    vnl = _sector(n, n - l)
-    m = kw.block(vl, vnl) @ kz.block(vnl, vl)
     js = list(range(l, -1, -1)) if 2 * l <= n else list(range(l, n + 1))
     lams = []
     meta = []
@@ -329,6 +285,12 @@ def verify_tr_spectrum(n: int, l: int, z, w, params: Params) -> SpectralReport:
         else:
             expected = comb(n, j) - (comb(n, j + 1) if j + 1 <= n else 0)
         meta.append((l, j, expected))
+    _assert_distinct(lams, f"tr l={l}", z=z, w=w)
+    kz = build_ktr(n, z, params).operator
+    kw = build_ktr(n, w, params).operator
+    vl = _sector(n, l)
+    vnl = _sector(n, n - l)
+    m = kw.block(vl, vnl) @ kz.block(vnl, vl)
     rep = SpectralReport("tr", n)
     _certify(rep, m, lams, meta)
     return rep
@@ -344,13 +306,14 @@ def verify_tr_middle(n: int, z, params: Params) -> SpectralReport:
         raise RangeError(f"middle sector needs even size, got {n}")
     z = _coerce(z)
     l = n // 2
-    vl = _sector(n, l)
-    m = build_ktr(n, z, params).operator.block(vl, vl)
     lams = []
     meta = []
     for j in range(l, -1, -1):
         lams.append(eval_rho_tr(n, l, j, z, params))
         meta.append((l, j, comb(n, j) - (comb(n, j - 1) if j >= 1 else 0)))
+    _assert_distinct(lams, f"tr l={l}", z=z)
+    vl = _sector(n, l)
+    m = build_ktr(n, z, params).operator.block(vl, vl)
     rep = SpectralReport("tr", n)
     _certify(rep, m, lams, meta)
     return rep
@@ -360,10 +323,12 @@ def verify_k11_k21_joint(n: int, z, w, params: Params) -> SpectralReport:
     """Certify that K_{1,1}(z) and K_{2,1}(w) share one projector family."""
     z = _coerce(z)
     w = _coerce(w)
-    a = build_kkk(1, 1, n, z, params).operator
-    b = build_kkk(2, 1, n, w, params).operator
     lams11 = [eval_lambda_k11(n, l, z, params) for l in range(n + 1)]
     lams21 = [eval_lambda_k21(n, l, w, params) for l in range(n + 1)]
+    _assert_distinct(lams11, "k11", z=z)
+    _assert_distinct(lams21, "k21", w=w)
+    a = build_kkk(1, 1, n, z, params).operator
+    b = build_kkk(2, 1, n, w, params).operator
     rep = SpectralReport("k11", n)
     meta = [(l, None, comb(n, l)) for l in range(n + 1)]
     p11 = _certify(rep, a, lams11, meta)
@@ -382,30 +347,33 @@ def verify_k11_k21_joint(n: int, z, w, params: Params) -> SpectralReport:
 def verify_k12_k22(n: int, z, params: Params) -> SpectralReport:
     """Certify the two remaining boundary spectra and their parity links."""
     z = _coerce(z)
+    even = n % 2 == 0
+    top = n // 2 if even else (n - 1) // 2
+    lams12 = [eval_lambda_k12(n, l, z, params) for l in range(n + 1)]
+    lams22 = [eval_lambda_k22(n, l, z, params) for l in range(top + 1)]
+    # odd sizes: the +/- pair structure squares to a scalar on each component,
+    # so the squares are certified on K_{2,2}^2
+    cert22 = lams22 if even else [v * v for v in lams22]
+    _assert_distinct(lams12, "k12", z=z)
+    _assert_distinct(cert22, "k22", z=z)
     a = build_kkk(1, 2, n, z, params).operator
     c = build_kkk(2, 2, n, z, params).operator
     rep = SpectralReport("k12", n)
 
-    lams12 = [eval_lambda_k12(n, l, z, params) for l in range(n + 1)]
     meta12 = [(l, None, comb(n, l)) for l in range(n + 1)]
     p12 = _certify(rep, a, lams12, meta12)
 
     rep22 = SpectralReport("k22", n)
-    even = n % 2 == 0
-    top = n // 2 if even else (n - 1) // 2
-    lams22 = [eval_lambda_k22(n, l, z, params) for l in range(top + 1)]
     for l in range(top + 1):
         flipped = eval_lambda_k22(n, l, -z, params)
         rep22.checks.add(f"even in z, l={l}", flipped == lams22[l])
     if even:
         meta22 = [(l, None, 2 * comb(n, l) if l < top else comb(n, top))
                   for l in range(top + 1)]
-        _certify(rep22, c, lams22, meta22)
+        _certify(rep22, c, cert22, meta22)
     else:
-        # the +/- pair structure squares to a scalar on each component
-        sq = c @ c
         meta22 = [(l, None, 2 * comb(n, l)) for l in range(top + 1)]
-        _certify(rep22, sq, [v * v for v in lams22], meta22)
+        _certify(rep22, c @ c, cert22, meta22)
     swap = not even
     parity_ok = all((popcount(r) + popcount(cc)) % 2 == (1 if swap else 0)
                     for r, cc, _ in c.entries())
@@ -442,50 +410,28 @@ def _parity(n: int, residue: int) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# sampling driver
+# suites
 
 
-_Z_CANDIDATES = (
-    Scalar(2, 0, 5), Scalar(3, 0, 7), Scalar(5, 0, 11),
-    Scalar(7, 0, 13), Scalar(4, 0, 9),
-)
-_W_CANDIDATES = (
-    Scalar(5, 0, 11), Scalar(7, 0, 13), Scalar(4, 0, 9),
-    Scalar(2, 0, 5), Scalar(3, 0, 7),
-)
-
-
-def spectrum_suite(n: int, params: Params, attempts: int = 5) -> list:
-    """Run every spectral certificate at n, resampling degenerate points."""
+def spectrum_suite(n: int, params: Params, w) -> list:
+    """Run every spectral certificate at n, at the points params.z and w."""
     return [rep for tag in ("tr", "k11", "k12")
-            for rep in spectrum_family(tag, n, params, attempts)]
+            for rep in spectrum_family(tag, n, params, w)]
 
 
-def spectrum_family(tag: str, n: int, params: Params, attempts: int = 5) -> list:
-    """Certificates for a single eigenvalue family.
+def spectrum_family(tag: str, n: int, params: Params, w) -> list:
+    """Certificates for a single eigenvalue family, at params.z and w.
 
     Tags: "tr" (one report per up-spin sector), "k11"/"k21" (certified
     jointly, so either tag returns the shared report) and "k12"/"k22"
-    (likewise paired).
+    (likewise paired).  The second point w enters the "tr" compositions
+    and K_{2,1}; the k12/k22 certificates use params.z alone.
     """
+    z = params.z
     if tag == "tr":
-        return [_resample(
-            lambda z, w, l=l: verify_tr_spectrum(n, l, z, w, params), attempts)
-            for l in range(n + 1)]
+        return [verify_tr_spectrum(n, l, z, w, params) for l in range(n + 1)]
     if tag in ("k11", "k21"):
-        return [_resample(
-            lambda z, w: verify_k11_k21_joint(n, z, w, params), attempts)]
+        return [verify_k11_k21_joint(n, z, w, params)]
     if tag in ("k12", "k22"):
-        return [_resample(
-            lambda z, w: verify_k12_k22(n, z, params), attempts)]
+        return [verify_k12_k22(n, z, params)]
     raise RangeError(f"unknown spectral family tag {tag!r}")
-
-
-def _resample(fn, attempts: int):
-    last = None
-    for i in range(min(attempts, len(_Z_CANDIDATES))):
-        try:
-            return fn(_Z_CANDIDATES[i], _W_CANDIDATES[i])
-        except (DegenerateEigenvalues, PoleError) as exc:
-            last = exc
-    raise DegenerateEigenvalues(f"no generic sample point found: {last}")

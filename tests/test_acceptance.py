@@ -263,13 +263,15 @@ def test_07_spectral_certificates():
     lam_bot = (q ** 2 - z) * (q ** 4 - z) / ((ONE - q ** 2 * z) * (ONE - q ** 4 * z))
     got = {row.value: row.rank for row in rep.rows}
     assert got == {ONE: 2, lam_mid: 3, lam_bot: 1}
+    # certificates are proved at PARAMS.z and a second point w
+    w = Scalar(5, 0, 11)
     # boundary certificates exist already at two sites
     for tag in ("k11", "k12"):
-        for srep in spectrum_family(tag, 2, PARAMS):
+        for srep in spectrum_family(tag, 2, PARAMS, w):
             assert srep.ok, repr(srep)
     # full certificate suite: every sector, joint projectors, paired spectra
     for n in (3, 4, 5):
-        for srep in spectrum_suite(n, PARAMS):
+        for srep in spectrum_suite(n, PARAMS, w):
             assert srep.ok, repr(srep)
     _done(7, "spectral certificates, n <= 5", start, budget=300.0)
 

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from onsk.cli import build_parser, main, resolve
+from onsk.cli import _second_point, build_parser, main, resolve
 from onsk.field import format_scalar, make_params, parse_scalar, sample_params
 from onsk.kmatrix import build_kkk, build_ktr
 from onsk.onsager import CoidealSpec, hamiltonian
 from onsk.report import Report
+from onsk.spectra import eval_lambda_k11, eval_lambda_k21
 from onsk.spinrep import make_family
 
 
@@ -155,6 +156,66 @@ def test_spectrum_subcommand(capsys):
     assert lines[0] == "n,family,l,j,value,observed,expected,status"
     fams = {line.split(",")[1] for line in lines[1:]}
     assert fams == {"k12", "k22"}
+
+
+def test_spectral_rows_at_reported_point(capsys):
+    # every certificate row is the closed form at the point the report names
+    rc, out, _ = run(capsys, "spectrum", "--family", "D2", "--n", "3",
+                     "--format", "json", "--seed", "0")
+    assert rc == 0
+    doc = json.loads(out)
+    p = doc["params"]
+    params = make_params(parse_scalar(p["t"]), parse_scalar(p["z"]),
+                         p["eps"], p["mu"])
+    w = parse_scalar(doc["w"])
+    assert w != params.z
+    fams = set()
+    for row in doc["rows"]:
+        fams.add(row["family"])
+        if row["family"] == "k11":
+            want = eval_lambda_k11(3, row["l"], params.z, params)
+        else:
+            want = eval_lambda_k21(3, row["l"], w, params)
+        assert row["value"] == format_scalar(want), row
+    assert fams == {"k11", "k21"}
+    # verify's JSON names the same second point
+    rc, out, _ = run(capsys, "verify", "--suite", "spectra", "--family", "D2",
+                     "--n", "3", "--format", "json", "--seed", "0")
+    assert rc == 0
+    assert json.loads(out)["w"] == doc["w"]
+
+
+def test_degenerate_spectral_point_exits_2(capsys, monkeypatch):
+    # at z = 1 every K_(1,1) eigenvalue is 1: a configuration error, found
+    # before any K matrix is built
+    import onsk.spectra as spectra
+    builds = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            builds.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectra, "build_kkk", counted(spectra.build_kkk))
+    monkeypatch.setattr(spectra, "build_ktr", counted(spectra.build_ktr))
+    for argv in (("spectrum",), ("verify", "--suite", "spectra")):
+        rc, out, err = run(capsys, *argv, "--family", "D2", "--n", "3",
+                           "--z", "1")
+        assert rc == 2
+        assert out == ""
+        assert f"z={format_scalar(parse_scalar('1'))}" in err
+    assert builds == []
+
+
+def test_second_point_skips_z_and_its_inverse():
+    cfg = resolve(build_parser().parse_args(["spectrum", "--n", "3", "--seed", "0"]))
+    base = sample_params(0)
+    z1, z2 = sample_params(1).z, sample_params(2).z
+    assert z2 not in (z1, z1.inverse())
+    assert _second_point(cfg, base.with_z(z1 + 1)) == z1
+    assert _second_point(cfg, base.with_z(z1)) == z2
+    assert _second_point(cfg, base.with_z(z1.inverse())) == z2
 
 
 def test_config_errors_exit_2(capsys):

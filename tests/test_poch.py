@@ -1,7 +1,7 @@
 import pytest
 
-from onsk.field import PoleError, Scalar
-from onsk.poch import LedgerResidueError, PochLedger, poch, qbinom
+from onsk.field import Scalar
+from onsk.poch import poch, qbinom
 
 
 def test_poch_values():
@@ -25,53 +25,3 @@ def test_qbinom_pascal():
     assert qbinom(4, 2, q) == 1 + q + 2 * q ** 2 + q ** 3 + q ** 4
     assert qbinom(3, 5, q) == Scalar(0)
     assert qbinom(3, -1, q) == Scalar(0)
-
-
-def test_ledger_finite_only():
-    led = PochLedger(Scalar(2, 0, 3), Scalar(1, 0, 5))
-    led.mul(Scalar(7)).div(Scalar(2)).add_finite(2, 1, 1, 1).add_finite(-1, -1, 0, 0)
-    t, z = Scalar(2, 0, 3), Scalar(1, 0, 5)
-    want = Scalar(7) / 2 * (1 - t * z) ** 2 / (Scalar(1) + Scalar(1))
-    assert led.reduce() == want
-
-
-def test_ledger_tail_cancellation():
-    # (x; T)_inf / (x T^2; T)_inf = (1 - x)(1 - x T) with x = t^3 z, T = t^2
-    t, z = Scalar(2, 0, 3), Scalar(1, 0, 5)
-    led = PochLedger(t, z)
-    led.add_tail(1, 1, 3, 1, 1, 2)
-    led.add_tail(-1, 1, 7, 1, 1, 2)
-    x = t ** 3 * z
-    assert led.reduce() == (1 - x) * (1 - x * t ** 2)
-
-
-def test_ledger_alternating_tail():
-    # prod_{j>=0} (1 - (-1)^j t^(1+j)) divided by the same tail one step in
-    t = Scalar(3, 0, 4)
-    led = PochLedger(t, Scalar(1))
-    led.add_tail(1, 1, 1, 0, -1, 1)
-    led.add_tail(-1, -1, 2, 0, -1, 1)
-    assert led.reduce() == Scalar(1) - t
-
-
-def test_ledger_residue_error():
-    led = PochLedger(Scalar(2, 0, 3), Scalar(1, 0, 5))
-    led.add_tail(1, 1, 1, 1, 1, 2)
-    with pytest.raises(LedgerResidueError):
-        led.reduce()
-
-
-def test_ledger_mismatched_groups_not_merged():
-    # same exponent sum overall, but different z-powers: must not cancel
-    led = PochLedger(Scalar(2, 0, 3), Scalar(1, 0, 5))
-    led.add_tail(1, 1, 1, 1, 1, 2)
-    led.add_tail(-1, 1, 1, 2, 1, 2)
-    with pytest.raises(LedgerResidueError):
-        led.reduce()
-
-
-def test_ledger_pole():
-    led = PochLedger(Scalar(2, 0, 3), Scalar(1, 0, 5))
-    led.div(Scalar(0))
-    with pytest.raises(PoleError):
-        led.reduce()

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from onsk.field import Scalar, make_params, sample_params
+from onsk.field import PoleError, Scalar, make_params, sample_params
 from onsk.poch import poch
 from onsk.qboson import (
     NormalForm,
     QBosonEngine,
     TailBoundError,
+    _base_22,
     _pb_lower,
     boundary_contract,
     boundary_contract_oracle,
@@ -138,6 +139,64 @@ def test_contract_12_golden_two_raises():
     got = boundary_contract(eng, word(eng, Z, "++"), 1, 2)
     num = Z ** 2 * (1 + q) * (1 + q ** 2 - q ** 2 * Z ** 2 + q ** 3 * Z ** 2)
     assert got == num / poch(-q * Z ** 2, q ** 2, 2)
+
+
+# _base_22(j, m) for j = 0, 2, 4 (rows) and m = 0..5, at a real and a
+# complex point; odd j gives zero
+BASE_22_PINNED = (
+    ((Scalar(2, 0, 5), Scalar(3, 0, 7)), (
+        (Scalar(1, 0, 1), Scalar(49, 0, 40), Scalar(25000, 0, 30481),
+         Scalar(186696125, 0, 153106568),
+         Scalar(299036265625000, 0, 364639745489041),
+         Scalar(1395886525700235078125, 0, 1144748114039774760968)),
+        (Scalar(5481, 0, 30481), Scalar(33571125, 0, 153106568),
+         Scalar(53525390625000, 0, 364639745489041),
+         Scalar(249824575469970703125, 0, 1144748114039774760968),
+         Scalar(250094264509677886962890625000, 0,
+                1703963040626497401208556740081),
+         Scalar(66331118214026264391839504241943359375, 0,
+                303943902714951481324877431086088779928)),
+        (Scalar(12043010839041, 0, 364639745489041),
+         Scalar(46102150868203828125, 0, 1144748114039774760968),
+         Scalar(45940440517581939697265625000, 0,
+                1703963040626497401208556740081),
+         Scalar(12183099752024918340146541595458984375, 0,
+                303943902714951481324877431086088779928),
+         Scalar(83849229574860506604090915061533451080322265625000, 0,
+                3110400922245825362573783567290468900061550281233201),
+         Scalar(339007123363656443458975657989640239975415170192718505859375, 0,
+                8457573830940623231103962285422728014798968542498939265811288)),
+    )),
+    ((Scalar(1, 1, 1), Scalar(1, 1, 2)), (
+        (Scalar(1, 0, 1), Scalar(4, 2, 5), Scalar(0, -1, 2), Scalar(-16, 2, 65),
+         Scalar(-8, 51, 410), Scalar(2608, -430, 42601)),
+        (Scalar(2, 1, 2), Scalar(-17, -6, 65), Scalar(1, -32, 820),
+         Scalar(1023, -136, 213005), Scalar(-319, 2008, 3307060),
+         Scalar(-2670377, 441624, 35736317461)),
+        (Scalar(819, 442, 820), Scalar(2182, 751, 32770),
+         Scalar(544, -16383, 6614120), Scalar(-2094968, 279551, 27489474970),
+         Scalar(-33998328, 213839821, 88773217234760),
+         Scalar(2134206632, -353019649, 28796681973248410)),
+    )),
+)
+
+
+def test_base_22_pinned_values():
+    for (t, z), rows in BASE_22_PINNED:
+        eng = QBosonEngine(make_params(t, z))
+        for j, row in zip((0, 2, 4), rows):
+            assert [_base_22(eng, z, j, m) for m in range(6)] == list(row), (t, z, j)
+        assert _base_22(eng, z, 3, 2) == Scalar(0)
+
+
+def test_base_22_pole():
+    # at z = 1 the odd-m denominator (z^2; q^4) vanishes; even m stays finite
+    eng = QBosonEngine(make_params(Scalar(2, 0, 5), Scalar(1)))
+    for m in (1, 3):
+        with pytest.raises(PoleError):
+            _base_22(eng, Scalar(1), 2, m)
+    assert _base_22(eng, Scalar(1), 2, 0) == Scalar(1)
+    assert _base_22(eng, Scalar(1), 2, 2) == Scalar(0)
 
 
 WORDS = ["k", "kk", "+k", "++", "+-", "+k-", "++kk", "+kk-", "kkk", "++k"]

@@ -9,16 +9,15 @@ from onsk.linalg import rank_rows
 from onsk.spectra import (
     CSV_HEADER,
     DegenerateEigenvalues,
-    EigenClosedForm,
     SpectralReport,
     _certify,
-    closed_form,
     eval_lambda_k11,
     eval_lambda_k12,
     eval_lambda_k21,
     eval_lambda_k22,
     eval_rho_tr,
     spectra_csv,
+    spectrum_family,
     spectrum_suite,
     verify_k11_k21_joint,
     verify_k12_k22,
@@ -70,21 +69,20 @@ def test_rho_tr_identities():
 
 
 def test_closed_form_wrapper():
-    form = closed_form("tr", 4, 2, 1)
-    assert form.value(PARAMS, Z) == eval_rho_tr(4, 2, 1, Z, PARAMS)
-    assert "l=2,j=1" in repr(form)
-    form11 = closed_form("k11", 3, 2)
-    assert form11.value(PARAMS, Z) == eval_lambda_k11(3, 2, Z, PARAMS)
+    # the closed forms take plain Fractions as well as Scalars, and every
+    # family and index outside its range is rejected before any work
+    assert eval_rho_tr(4, 2, 1, Fraction(3, 7), PARAMS) == eval_rho_tr(4, 2, 1, Z, PARAMS)
+    assert eval_lambda_k11(3, 2, Fraction(3, 7), PARAMS) == eval_lambda_k11(3, 2, Z, PARAMS)
     with pytest.raises(RangeError):
-        closed_form("nope", 3, 1)
+        spectrum_family("nope", 3, PARAMS, W)
     with pytest.raises(RangeError):
-        closed_form("tr", 3, 1)
+        verify_tr_spectrum(3, 4, Z, W, PARAMS)
     with pytest.raises(RangeError):
-        closed_form("tr", 4, 1, 2)
+        eval_rho_tr(4, 1, 2, Z, PARAMS)
     with pytest.raises(RangeError):
-        closed_form("k22", 4, 3)
+        eval_lambda_k22(4, 3, Z, PARAMS)
     with pytest.raises(RangeError):
-        closed_form("k11", 3, 4)
+        eval_lambda_k11(3, 4, Z, PARAMS)
 
 
 def test_eval_lambda_guards():
@@ -346,7 +344,7 @@ def test_k22_evenness_recorded():
 
 
 def test_spectrum_suite_and_csv():
-    reps = spectrum_suite(2, PARAMS)
+    reps = spectrum_suite(2, PARAMS, W)
     assert all(rep.ok for rep in reps)
     text = spectra_csv(reps)
     lines = text.strip().split("\n")
