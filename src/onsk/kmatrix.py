@@ -54,14 +54,15 @@ def _site_letters(engine: QBosonEngine) -> dict:
             (1, 0): engine.kdiag(), (1, 1): engine.am()}
 
 
-def _words(engine: QBosonEngine, root, sites: list, weight=None):
+def _words(engine: QBosonEngine, root, sites: list, weight=None, parity=None):
     """Yield (beta, alpha, root * L_0 * ... * L_{n-1}) depth first.
 
     sites[d] maps the (beta, alpha) bit pair at site d to its letter L_d.
     Words sharing their first d letters share one normal-ordered prefix,
     so a full build costs about (4/3) 4^n products instead of n 4^n.  With
     a weight, a prefix that can no longer reach |alpha| + |beta| = weight
-    is dropped before it is multiplied.
+    is dropped before it is multiplied; with a parity, the last site only
+    takes letters that give |alpha| + |beta| that parity.
     """
     n = len(sites)
 
@@ -72,6 +73,8 @@ def _words(engine: QBosonEngine, root, sites: list, weight=None):
         for (b, a), letter in sites[d].items():
             s2 = s + b + a
             if weight is not None and not s2 <= weight <= s2 + 2 * (n - d - 1):
+                continue
+            if parity is not None and d == n - 1 and (s2 - parity) % 2:
                 continue
             yield from walk(d + 1, beta | b << d, alpha | a << d, s2,
                             engine.mul(prefix, letter))
@@ -177,10 +180,11 @@ def build_kkk(k: int, kp: int, n: int, z: Scalar, params: Params) -> KMatrix:
         raise RangeError(f"need n >= 1, got {n}")
     engine = QBosonEngine(params)
     dim = 1 << n
+    # (2, 2) entries vanish unless |alpha| + |beta| has the parity of n
+    parity = n % 2 if (k, kp) == (2, 2) else None
     vals = {}
-    for beta, alpha, word in _words(engine, engine.marker(z), [_site_letters(engine)] * n):
-        if (k, kp) == (2, 2) and (popcount(alpha) + popcount(beta) - n) % 2:
-            continue
+    for beta, alpha, word in _words(engine, engine.marker(z), [_site_letters(engine)] * n,
+                                    parity=parity):
         vals[beta, alpha] = boundary_contract(engine, word, k, kp)
     op = _fill(dim, vals)
     want = reference_value((k, kp), n, z, params)

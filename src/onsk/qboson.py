@@ -288,7 +288,8 @@ def _fock_tables(q: Fraction, zq: Fraction, bra: int, ket: int, top: int, qtop: 
     for v <= top.  The eta_ket component is 1/(b; b)_{v/ket} with
     b = q^{ket^2}; the eta_bra component times (q^2; q^2)_v is (-q; q)_v
     for bra 1 and (q^2; q^4)_{v/2} for bra 2.  Both vanish off multiples
-    of their kind.
+    of their kind.  The ket components are also the independent Fraction
+    reference for the boundary series of sp4's slot model (sp4._Slot).
     """
     qpow = [Fraction(1)]
     for _ in range(qtop):

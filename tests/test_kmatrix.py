@@ -185,8 +185,18 @@ def test_kkk_reference_entries():
     assert reference_value((2, 2), 3, z, PARAMS) == poch(q ** 2 * z ** 2, q ** 4, 1) / poch(z ** 2, q ** 4, 2)
 
 
-def test_kkk_support_parity():
+def test_kkk_support_parity(monkeypatch):
+    calls = []
+    mul = QBosonEngine.mul
+
+    def counted(engine, x, y):
+        calls.append(None)
+        return mul(engine, x, y)
+
+    monkeypatch.setattr(QBosonEngine, "mul", counted)
     km = build_kkk(2, 2, 3, PARAMS.z, PARAMS)
+    # the last site takes only right-parity letters: 4 + 16 + 32 products, not 4 + 16 + 64
+    assert len(calls) == 52
     assert all((popcount(r) + popcount(c) - 3) % 2 == 0 for r, c, _ in km.operator.entries())
     km = build_kkk(1, 1, 2, PARAMS.z, PARAMS)
     assert sum(1 for _ in km.operator.entries()) == 16  # generically full

@@ -1,21 +1,25 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from onsk.field import ONE, ZERO, Scalar, make_params, sample_params
+from onsk.field import ONE, ZERO, Scalar, make_params, parse_scalar, sample_params
 from onsk.poch import poch
+from onsk.qboson import _fock_tables
 from onsk.sp4 import (
     DerivationGap,
     TensorOp4,
-    TruncatedFock,
     TruncationMarginError,
     XiVector,
     _boundary_ops,
+    _characterization_checks,
     _derive_terms,
     _kills_vector,
     _pure_sum_zero,
+    _Slot,
     _slot_items,
+    _slots,
     check_annihilation,
     check_lemma_identities,
     delta,
@@ -30,48 +34,74 @@ Q = PARAMS.q
 
 
 def test_letter_actions():
-    fq = TruncatedFock(6, "q")
-    assert fq.apply_letter("a+", 2, PARAMS) == (3, ONE)
-    assert fq.apply_letter("a-", 3, PARAMS) == (2, ONE - Q ** 6)
-    assert fq.apply_letter("a-", 0, PARAMS)[1] == ZERO
-    assert fq.apply_letter("k", 2, PARAMS) == (2, Q ** 2)
-    fq2 = TruncatedFock(6, "q2")
-    assert fq2.apply_letter("A+", 2, PARAMS) == (3, ONE)
-    assert fq2.apply_letter("A-", 3, PARAMS) == (2, ONE - Q ** 12)
-    assert fq2.apply_letter("K", 2, PARAMS) == (2, Q ** 4)
+    fq2, fq = _slots(PARAMS)[:2]
+    assert fq.act(("a+",), 2) == (3, ONE)
+    assert fq.act(("a-",), 3) == (2, ONE - Q ** 6)
+    assert fq.act(("a-",), 0)[1] == ZERO
+    assert fq.act(("k",), 2) == (2, Q ** 2)
+    assert fq2.act(("A+",), 2) == (3, ONE)
+    assert fq2.act(("A-",), 3) == (2, ONE - Q ** 12)
+    assert fq2.act(("K",), 2) == (2, Q ** 4)
+    # words act rightmost letter first
+    assert fq.act(("k", "a+"), 2) == (3, Q ** 3)
+    assert fq2.act(("A-", "K"), 2) == (1, Q ** 4 * (ONE - Q ** 8))
+    assert fq.act(("a-", "a+"), 6) == (6, ONE - Q ** 14)
+    with pytest.raises(TruncationMarginError):
+        fq.act(("a-", "a+"), 6, 6)
     with pytest.raises(RangeError):
-        fq.apply_letter("A+", 1, PARAMS)
+        fq.act(("A+",), 1)
     with pytest.raises(RangeError):
-        fq2.apply_letter("k", 1, PARAMS)
-    with pytest.raises(RangeError):
-        TruncatedFock(4, "q3")
+        fq2.act(("k",), 1)
+
+
+def test_word_images():
+    fq = _slots(PARAMS)[1]
+    vec = (ONE, Scalar(2), ZERO, Scalar(3))
+    assert fq.image(("a+",), vec) == (ZERO, ONE, Scalar(2), ZERO)
+    assert fq.image(("a-",), vec) == ((ONE - Q ** 2) * 2, ZERO, (ONE - Q ** 6) * 3, ZERO)
+    assert fq.image(("k",), vec) == (ONE, Q * 2, ZERO, Q ** 3 * 3)
 
 
 def test_boundary_vectors():
-    fq = TruncatedFock(7, "q")
-    eta1 = fq.boundary_vector(1, PARAMS)
-    eta2 = fq.boundary_vector(2, PARAMS)
+    fq2, fq = _slots(PARAMS)[:2]
+    eta1 = fq.boundary(1, 7)
+    eta2 = fq.boundary(2, 7)
+    assert len(eta1) == len(eta2) == 8
     assert eta1[0] == ONE
     assert eta1[3] == poch(Q, Q, 3).inverse()
     assert eta2[4] == poch(Q ** 4, Q ** 4, 2).inverse()
     assert all(eta2[m] == ZERO for m in (1, 3, 5, 7))
-    fq2 = TruncatedFock(7, "q2")
-    chi1 = fq2.boundary_vector(1, PARAMS)
-    chi2 = fq2.boundary_vector(2, PARAMS)
+    chi1 = fq2.boundary(1, 7)
+    chi2 = fq2.boundary(2, 7)
     assert chi1[2] == poch(Q ** 2, Q ** 2, 2).inverse()
     assert chi2[6] == poch(Q ** 8, Q ** 8, 3).inverse()
     assert chi2[3] == ZERO
     with pytest.raises(RangeError):
-        fq.boundary_vector(3, PARAMS)
+        fq.boundary(3, 7)
 
 
 def test_boundary_vector_recurrences():
     # the raising characterizations reduce to one-step component recurrences
-    eta1 = TruncatedFock(9, "q").boundary_vector(1, PARAMS)
-    chi1 = TruncatedFock(9, "q2").boundary_vector(1, PARAMS)
+    fq2, fq = _slots(PARAMS)[:2]
+    eta1, chi1 = fq.boundary(1, 9), fq2.boundary(1, 9)
+    eta2, chi2 = fq.boundary(2, 9), fq2.boundary(2, 9)
     for m in range(1, 10):
         assert eta1[m - 1] == (ONE - Q ** m) * eta1[m]
         assert chi1[m - 1] == (ONE - Q ** (2 * m)) * chi1[m]
+    for m in range(2, 10, 2):
+        assert eta2[m - 2] == (ONE - Q ** (2 * m)) * eta2[m]
+        assert chi2[m - 2] == (ONE - Q ** (4 * m)) * chi2[m]
+
+
+def test_boundary_series_match_oracle_tables():
+    # the slot model's series against the independent Fraction tables of
+    # the q-boson oracle; the q2 base is the oracle at q^2
+    fq2, fq = _slots(PARAMS)[:2]
+    q = Q.re
+    for slot, oracle_q in ((fq, q), (fq2, q * q)):
+        for kind in (1, 2):
+            ket = _fock_tables(oracle_q, Fraction(1, 2), 1, kind, 12, 24)[3]
+            assert slot.boundary(kind, 12) == tuple(Scalar.from_fraction(x) for x in ket)
 
 
 def test_pi_matrix_entries():
@@ -150,8 +180,8 @@ def test_truncation_margins():
 
 def test_xi_vector():
     xi = XiVector(2, 2, 6, PARAMS)
-    chi2 = TruncatedFock(6, "q2").boundary_vector(2, PARAMS)
-    eta2 = TruncatedFock(6, "q").boundary_vector(2, PARAMS)
+    chi2 = xi.slots[0].boundary(2, 6)
+    eta2 = xi.slots[1].boundary(2, 6)
     assert xi.component((2, 4, 0, 6)) == chi2[2] * eta2[4] * chi2[0] * eta2[6]
     assert xi.component((1, 2, 2, 2)) == ZERO
     with pytest.raises(RangeError):
@@ -180,7 +210,37 @@ def test_annihilation_negative_control():
     xi = XiVector(1, 2, 10, PARAMS)
     _, terms = _boundary_ops(2, 2, PARAMS)[0]
     poly, _, _ = _derive_terms(terms, PARAMS, False)
-    assert not _kills_vector(delta_op(poly, PARAMS), xi, 7, PARAMS)
+    assert not _kills_vector(delta_op(poly, PARAMS), xi, 7)
+
+
+def test_characterization_negative_control(monkeypatch):
+    # one component of one boundary series moved by 1/97: exactly the
+    # characterization rows of that series fail, the matches rows included
+    fields = {"eta1": ("k", 1), "eta2": ("k", 2), "chi1": ("K", 1), "chi2": ("K", 2)}
+    names = [c.name for c in _characterization_checks(PARAMS, 10).checks]
+    assert len(names) == 10
+    boundary = _Slot.boundary
+    for series, (diag, kind) in fields.items():
+        def bumped(slot, k, cutoff, diag=diag, kind=kind):
+            comps = boundary(slot, k, cutoff)
+            if slot.letters[2] != diag or k != kind:
+                return comps
+            return comps[:2] + (comps[2] + Scalar(1, 0, 97),) + comps[3:]
+
+        monkeypatch.setattr(_Slot, "boundary", bumped)
+        rep = check_annihilation(1, 1, PARAMS, 10)
+        failed = {c.name for c in rep.checks if not c.ok and c.name in names}
+        assert failed == {n for n in names if n.endswith(series)}, series
+        assert any(n.startswith("a- on") for n in failed) == series.startswith("eta")
+    monkeypatch.setattr(_Slot, "boundary", boundary)
+    assert check_annihilation(1, 1, PARAMS, 10).passed
+
+
+def test_complex_point():
+    prm = make_params(parse_scalar("1/2+1/3*i"), parse_scalar("2/7+1/5*i"))
+    assert check_lemma_identities(prm, 10).passed
+    for r, k in ((1, 1), (1, 2), (2, 2)):
+        assert check_annihilation(r, k, prm, 10).passed
 
 
 def test_annihilation_component_oracle():
