@@ -23,29 +23,18 @@ class BadLiteral(ValueError):
     """A scalar literal could not be parsed."""
 
 
-def _normalize(a, b, d):
-    if d == 0:
-        raise PoleError("zero denominator")
-    if d < 0:
-        a, b, d = -a, -b, -d
-    g = gcd(gcd(abs(a), abs(b)), d)
-    if g > 1:
-        a //= g
-        b //= g
-        d //= g
-    return a, b, d
-
-
 class Scalar:
     """Immutable Gaussian rational (a + b*i)/d with gcd(a, b, d) = 1, d > 0."""
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a, b=0, d=1):
-        a, b, d = _normalize(int(a), int(b), int(d))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+    def __new__(cls, a, b=0, d=1):
+        a, b, d = int(a), int(b), int(d)
+        if d == 0:
+            raise PoleError("zero denominator")
+        if d < 0:
+            a, b, d = -a, -b, -d
+        return _reduced(a, b, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -76,48 +65,44 @@ class Scalar:
         return self.b == 0
 
     def conj(self) -> "Scalar":
-        return Scalar(self.a, -self.b, self.d)
+        return _raw(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
         """|x|^2 as an exact Fraction."""
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(
-            self.a * other.d + other.a * self.d,
-            self.b * other.d + other.b * self.d,
-            self.d * other.d,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self, other.a, other.b, other.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b, self.d)
+        return _raw(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self, -other.a, -other.b, other.d)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d * other.d,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -125,7 +110,7 @@ class Scalar:
         n = self.a * self.a + self.b * self.b
         if n == 0:
             raise PoleError("division by zero scalar")
-        return Scalar(self.a * self.d, -self.b * self.d, n)
+        return _reduced(self.a * self.d, -self.b * self.d, n)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -169,6 +154,55 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.a}, {self.b}, {self.d})"
+
+
+_new = object.__new__
+_set_a = Scalar.a.__set__
+_set_b = Scalar.b.__set__
+_set_d = Scalar.d.__set__
+
+
+def _raw(a, b, d):
+    """A Scalar from a triple already in canonical form (d > 0, in lowest terms)."""
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
+
+
+def _reduced(a, b, d):
+    """A Scalar from a triple with d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _raw(a, b, d)
+
+
+def _sum(x: Scalar, a, b, e) -> Scalar:
+    """x + (a + b*i)/e, for a canonical triple (a, b, e).
+
+    With g = gcd(x.d, e), a prime of x.d/g divides both summed numerators
+    only if it divides both numerators of x, which the canonical form of
+    x excludes; likewise for e/g.  So only g can share a factor
+    with them, as in Fraction addition.
+    """
+    d = x.d
+    if d == e:
+        return _reduced(x.a + a, x.b + b, d)
+    g = gcd(d, e)
+    s, t = d // g, e // g
+    a = x.a * t + a * s
+    b = x.b * t + b * s
+    h = gcd(g, a, b)
+    if h != 1:
+        a //= h
+        b //= h
+        g //= h
+    return _raw(a, b, g * s * t)
 
 
 def _coerce(x):

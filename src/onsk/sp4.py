@@ -229,6 +229,10 @@ class TensorOp4:
 def _delta_t(i: int, j: int, params: Params, opp: bool) -> TensorOp4:
     # built once per (entry, slot order) and Params bundle, then shared by
     # every polynomial expanded there; 128 entries hold four bundles' 32
+    powers = (ONE, params.q, params.q * params.q)
+    pi = {(which, a, b): (powers[power] if sign > 0 else -powers[power], word)
+          for which, table in _PI_TABLE.items()
+          for (a, b), (sign, power, word) in table.items()}
     terms = []
     for k in range(1, 5):
         for l in range(1, 5):
@@ -239,10 +243,11 @@ def _delta_t(i: int, j: int, params: Params, opp: bool) -> TensorOp4:
                     slots = ((2, i, k), (1, k, l), (2, l, m), (1, m, j))
                 coeff = ONE
                 words = []
-                for which, a, b in slots:
-                    c, w = pi_matrix(which, a, b, params)
-                    if c.is_zero():
+                for slot in slots:
+                    entry = pi.get(slot)
+                    if entry is None:
                         break
+                    c, w = entry
                     coeff = coeff * c
                     words.append(w)
                 else:

@@ -1,12 +1,16 @@
 """Exact spectral certificates for the K matrices.
 
-Each conjectured decomposition is verified without constructing the
-invariant subspaces themselves: the eigenvalue closed forms must
-annihilate the matrix as a polynomial, and the Lagrange projector of
-each eigenvalue must have exactly the predicted rank.  Weight-sector
-blocks, their products and projector ranks are computed on the sparse
-Operator of onsk.linalg.  All arithmetic is exact, so a passing
-certificate is a proof for that parameter point.
+Each conjectured decomposition is proved from exact kernel bases: for
+every closed-form eigenvalue lam the kernel of M - lam*I is computed with
+the one sparse echelon of onsk.linalg, and every basis vector is checked
+to satisfy M v = lam v.  The eigenvalues are pairwise distinct, so when
+the checked counts sum to dim M the eigenspaces are a direct sum of the
+whole space; M is then diagonalisable, its annihilating polynomial
+vanishes and its spectral projectors are the Lagrange projectors, none of
+which has to be formed.  Shared projectors are equal eigenspaces, and a
+projector compressed to a parity sector is V (W^T V)^-1 W^T, with W the
+annihilator of the other eigenspaces.  All arithmetic is exact, so a
+passing certificate is a proof for that parameter point.
 
 Certificates are proved at the caller's points: the spectral parameter
 params.z and, for the trace compositions and K_{2,1}, a second point w.
@@ -19,9 +23,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .field import ONE, Params, Scalar, _coerce, format_scalar
+from .field import ONE, ZERO, Params, Scalar, _coerce, format_scalar
 from .kmatrix import build_kkk, build_ktr
-from .linalg import Operator, rank
+from .linalg import Operator, echelon_insert, nullspace, rank, rank_rows
 from .report import Report
 from .spinrep import RangeError, popcount
 
@@ -132,7 +136,7 @@ def eval_lambda_k22(n: int, l: int, z, params: Params) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Lagrange projectors
+# eigenspaces
 
 
 def _sector(n: int, l: int) -> list:
@@ -149,20 +153,71 @@ def _assert_distinct(lams, what: str, **point) -> None:
                     f"{what} eigenvalues {i} and {j} collide at {at}")
 
 
-def _lagrange(m, lams, factors, idx):
-    """Projector onto the idx-th eigenspace, given all shifted factors."""
-    prod = None
-    for i, f in enumerate(factors):
-        if i == idx:
-            continue
-        prod = f if prod is None else prod @ f
-    if prod is None:
-        return Operator.identity(m.nrows)
-    den = ONE
-    for i, lam in enumerate(lams):
-        if i != idx:
-            den = den * (lams[idx] - lam)
-    return prod.scale(den ** -1)
+def _eigenbasis(m: Operator, lam: Scalar) -> list:
+    """Basis of the kernel of m - lam*I, each vector checked to satisfy m v = lam v.
+
+    The rows of m - lam*I go through the one sparse echelon and the kernel
+    is read off by back-substitution; a vector only counts once one
+    Operator.apply has shown m v = lam v exactly.
+    """
+    pivots: dict = {}
+    for r in range(m.nrows):
+        row = dict(m.rows.get(r, {}))
+        d = row.get(r, ZERO) - lam
+        if d.is_zero():
+            row.pop(r, None)
+        else:
+            row[r] = d
+        if row:
+            echelon_insert(pivots, row)
+    checked = []
+    for v in nullspace(pivots, m.ncols):
+        image = {c: lam * x for c, x in v.items()} if lam else {}
+        if m.apply(v) == image:
+            checked.append(v)
+    return checked
+
+
+def _span(vectors, dim: int) -> int:
+    """Rank of the stacked sparse vectors."""
+    return rank_rows([[v.get(c, ZERO) for c in range(dim)] for v in vectors])
+
+
+def _projector(vectors, others, dim: int):
+    """Projector onto span(vectors) along span(others), or None.
+
+    P = V (W^T V)^-1 W^T, where the columns of W span the annihilator of
+    the other eigenspaces (every w has w.u = 0 for each u in others).  It
+    exists exactly when the two spans form a direct sum of the whole
+    space; then W^T V is square and invertible, and its inverse is read
+    off the kernel of [W^T V | -I].
+    """
+    k = len(vectors)
+    ann: dict = {}
+    for u in others:
+        echelon_insert(ann, u)
+    ws = nullspace(ann, dim)
+    if len(ws) != k:
+        return None
+    wt = Operator(k, dim)
+    wt.rows = dict(enumerate(ws))
+    vt = Operator(k, dim)
+    vt.rows = dict(enumerate(vectors))
+    v = vt.transpose()
+    gram = wt @ v
+    aug: dict = {}
+    for i in range(k):
+        row = dict(gram.rows.get(i, {}))
+        row[k + i] = -ONE
+        echelon_insert(aug, row)
+    if sorted(aug) != list(range(k)):
+        return None
+    inv = Operator(k)
+    for i, x in enumerate(nullspace(aug, 2 * k)):
+        for r, val in x.items():
+            if r < k:
+                inv.rows.setdefault(r, {})[i] = val
+    return (v @ inv) @ wt
 
 
 # ---------------------------------------------------------------------------
@@ -234,30 +289,35 @@ def spectra_csv(reports) -> str:
 
 
 def _certify(rep: SpectralReport, m, lams, rows_meta) -> list:
-    """Shared annihilation + rank certificate; returns the projectors.
+    """Shared eigenspace certificate; returns the checked kernel bases.
+
+    For each closed-form eigenvalue lam the kernel of m - lam*I is taken
+    exactly and every basis vector is checked to satisfy m v = lam v; the
+    row's observed count is the number of checked vectors, and the row is
+    annihilated when there is at least one.
 
     The eigenvalues lams must be pairwise distinct; every caller asserts
-    that with _assert_distinct before it builds m.
+    that with _assert_distinct before it builds m.  Eigenvectors of
+    distinct eigenvalues are linearly independent, so when the checked
+    counts sum to dim m the eigenspaces form a direct sum of the whole
+    space: m is diagonalisable with exactly these eigenvalues, each
+    multiplicity equals its count, the annihilating polynomial
+    prod (m - lam) vanishes, and the Lagrange projectors
+    prod_{mu != lam} (m - mu)/(lam - mu) are the idempotent spectral
+    projectors onto the checked eigenspaces.  No Lagrange product is
+    formed.
     """
-    eye = Operator.identity(m.nrows)
-    factors = [m - eye.scale(lam) for lam in lams]
-    full = None
-    for f in factors:
-        full = f if full is None else full @ f
-    rep.checks.add("annihilating polynomial", full.is_zero())
-    projs = []
+    bases = [_eigenbasis(m, lam) for lam in lams]
     dim = m.nrows
+    rep.checks.add("annihilating polynomial", sum(map(len, bases)) == dim)
     total = 0
-    for i, (l, j, expected) in enumerate(rows_meta):
-        p = _lagrange(m, lams, factors, i)
-        resid = (factors[i] @ p).is_zero()
-        rep.rows.append(SpectralRow(rep.family, rep.n, l, j, lams[i],
-                                    resid, rank(p), expected))
+    for lam, basis, (l, j, expected) in zip(lams, bases, rows_meta):
+        rep.rows.append(SpectralRow(rep.family, rep.n, l, j, lam,
+                                    bool(basis), len(basis), expected))
         total += expected
-        projs.append(p)
     rep.checks.add("multiplicity sum", total == dim,
                    f"expected dims sum to {total}, block has {dim}")
-    return projs
+    return bases
 
 
 def verify_tr_spectrum(n: int, l: int, z, w, params: Params) -> SpectralReport:
@@ -331,15 +391,21 @@ def verify_k11_k21_joint(n: int, z, w, params: Params) -> SpectralReport:
     b = build_kkk(2, 1, n, w, params).operator
     rep = SpectralReport("k11", n)
     meta = [(l, None, comb(n, l)) for l in range(n + 1)]
-    p11 = _certify(rep, a, lams11, meta)
+    v11 = _certify(rep, a, lams11, meta)
     rep21 = SpectralReport("k21", n)
-    p21 = _certify(rep21, b, lams21, meta)
+    v21 = _certify(rep21, b, lams21, meta)
     for row in rep21.rows:
         rep.rows.append(row)
     rep.checks.extend(rep21.checks)
+    # equal eigenspaces give equal spectral projectors; a direct sum of
+    # the whole space makes every projector of K_{1,1} idempotent
+    dim = 1 << n
+    direct = _span([v for basis in v11 for v in basis], dim) == dim
     for l in range(n + 1):
-        rep.checks.add(f"joint projector l={l}", p11[l] == p21[l])
-        rep.checks.add(f"projector idempotent l={l}", p11[l] @ p11[l] == p11[l])
+        both = _span(v11[l] + v21[l], dim)
+        rep.checks.add(f"joint projector l={l}",
+                       both == len(v11[l]) == len(v21[l]))
+        rep.checks.add(f"projector idempotent l={l}", direct)
     rep.checks.add("matrices commute", a @ b == b @ a)
     return rep
 
@@ -361,7 +427,7 @@ def verify_k12_k22(n: int, z, params: Params) -> SpectralReport:
     rep = SpectralReport("k12", n)
 
     meta12 = [(l, None, comb(n, l)) for l in range(n + 1)]
-    p12 = _certify(rep, a, lams12, meta12)
+    v12 = _certify(rep, a, lams12, meta12)
 
     rep22 = SpectralReport("k22", n)
     for l in range(top + 1):
@@ -382,31 +448,31 @@ def verify_k12_k22(n: int, z, params: Params) -> SpectralReport:
     rep.rows.extend(rep22.rows)
     rep.checks.extend(rep22.checks)
 
-    # subspace pairing: the parity-compressed component projectors of the
-    # first matrix must cut out blocks of the conjectured dimensions
-    pp = _parity(n, 0)
-    pm = _parity(n, 1)
-    for l in range(n // 2 + 1):
-        if 2 * l == n:
-            quad = p12[l]
-            expected = comb(n, l) // 2
-        else:
-            quad = p12[l] + p12[n - l]
-            expected = comb(n, l)
-        for name, pr in (("even", pp), ("odd", pm)):
-            got = rank(pr @ quad @ pr)
-            rep.checks.add(f"parity block rank l={l} ({name})", got == expected,
-                           f"rank {got}, expected {expected}")
+    _parity_checks(rep, n, v12)
     return rep
 
 
-def _parity(n: int, residue: int) -> Operator:
-    # diagonal projector onto the states whose up-spin count has this parity
-    out = Operator(1 << n)
-    for s in range(1 << n):
-        if popcount(s) % 2 == residue:
-            out.set(s, s, ONE)
-    return out
+def _parity_checks(rep: SpectralReport, n: int, bases) -> None:
+    """Parity-compressed projector ranks of the K_{1,2} eigenspaces.
+
+    The projector of component l (paired with n - l off the middle) along
+    the other components must cut out blocks of the conjectured
+    dimensions on the even and the odd up-spin sectors.
+    """
+    dim = 1 << n
+    sectors = [[s for s in range(dim) if popcount(s) % 2 == residue]
+               for residue in (0, 1)]
+    for l in range(n // 2 + 1):
+        pair = {l, n - l}
+        expected = comb(n, l) // 2 if 2 * l == n else comb(n, l)
+        proj = _projector([v for i in sorted(pair) for v in bases[i]],
+                          [v for i, basis in enumerate(bases) if i not in pair
+                           for v in basis], dim)
+        for name, sector in zip(("even", "odd"), sectors):
+            # no projector exists when the eigenspaces do not span
+            got = None if proj is None else rank(proj.block(sector, sector))
+            rep.checks.add(f"parity block rank l={l} ({name})", got == expected,
+                           f"rank {got}, expected {expected}")
 
 
 # ---------------------------------------------------------------------------

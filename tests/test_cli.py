@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,9 @@ from onsk.onsager import CoidealSpec, hamiltonian
 from onsk.report import Report
 from onsk.spectra import eval_lambda_k11, eval_lambda_k21
 from onsk.spinrep import make_family
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -156,6 +160,32 @@ def test_spectrum_subcommand(capsys):
     assert lines[0] == "n,family,l,j,value,observed,expected,status"
     fams = {line.split(",")[1] for line in lines[1:]}
     assert fams == {"k12", "k22"}
+
+
+# Reports of the Lagrange-projector certificates that preceded the kernel
+# bases, saved from the CLI with elapsed_ms removed from the JSON.
+GOLDEN = (
+    ("spectrum_n4_t37-41_z29-47_seed7.csv",
+     ("spectrum", "--n", "4", "--t", "37/41", "--z", "29/47", "--seed", "7")),
+    ("spectrum_n4_t37-41_z29-47_seed7.json",
+     ("spectrum", "--n", "4", "--t", "37/41", "--z", "29/47", "--seed", "7",
+      "--format", "json")),
+    ("spectrum_D2_n3_seed0.json",
+     ("spectrum", "--family", "D2", "--n", "3", "--format", "json", "--seed", "0")),
+    ("spectrum_n3_seed0.json",
+     ("spectrum", "--n", "3", "--seed", "0", "--format", "json")),
+)
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_spectrum_matches_golden_output(capsys, name, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    if name.endswith(".json"):
+        doc = json.loads(out)
+        assert isinstance(doc.pop("elapsed_ms"), int)
+        out = json.dumps(doc, indent=2) + "\n"
+    assert out == (DATA / name).read_text()
 
 
 def test_spectral_rows_at_reported_point(capsys):

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -35,6 +37,30 @@ def test_field_axioms_spot():
     for a in xs:
         assert a * a.inverse() == Scalar(1)
         assert (a ** 3) * (a ** -3) == Scalar(1)
+
+
+def _canonical(x):
+    return x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
+def test_arithmetic_matches_fraction_pairs():
+    # equal, coprime and overlapping denominators, so every reduction path
+    # of add, sub and mul meets a result that needs (or skips) cancelling
+    rng = random.Random("onsk-field:arith")
+    dens = (1, 2, 3, 4, 6, 9, 12, 15, 35, 36)
+    xs = [Scalar(rng.randint(-40, 40), rng.randint(-40, 40), rng.choice(dens))
+          for _ in range(40)]
+    for x in xs:
+        assert _canonical(x) and _canonical(-x) and _canonical(x.conj())
+        for y in xs:
+            for got, re, im in (
+                    (x + y, x.re + y.re, x.im + y.im),
+                    (x - y, x.re - y.re, x.im - y.im),
+                    (x * y, x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)):
+                assert _canonical(got)
+                assert (got.re, got.im) == (re, im)
+                assert got == Scalar.from_pair(re, im)
+                assert hash(got) == hash(Scalar.from_pair(re, im))
 
 
 def test_conj_abs2():

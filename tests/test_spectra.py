@@ -3,14 +3,17 @@ from math import comb
 
 import pytest
 
+import onsk.spectra as spectra
 from onsk.field import ONE, Scalar, make_params, sample_params
-from onsk.kmatrix import build_kkk, build_ktr
-from onsk.linalg import rank_rows
+from onsk.kmatrix import KMatrix, build_kkk, build_ktr
+from onsk.linalg import Operator, rank
 from onsk.spectra import (
     CSV_HEADER,
     DegenerateEigenvalues,
     SpectralReport,
     _certify,
+    _parity_checks,
+    _projector,
     eval_lambda_k11,
     eval_lambda_k12,
     eval_lambda_k21,
@@ -305,6 +308,198 @@ def test_certificate_negative_controls():
     rep = certify(bumped, lams)
     assert not rep.ok
     assert "annihilating polynomial" in [c.name for c in rep.checks.failures()]
+
+
+# ---------------------------------------------------------------------------
+# Lagrange-projector oracle: the certificates form no matrix polynomial, so
+# their kernel-basis counts, joint eigenspaces and parity ranks are checked
+# here against the spectral projectors built as products of shifted matrices
+
+
+def _lagrange(m, lams):
+    """Projectors prod_{j != i} (m - lam_j)/(lam_i - lam_j), after checking
+    that the full product annihilates m."""
+    eye = Operator.identity(m.nrows)
+    factors = [m - eye.scale(lam) for lam in lams]
+    full = eye
+    for f in factors:
+        full = full @ f
+    assert full.is_zero()
+    projs = []
+    for i, lam in enumerate(lams):
+        p, den = eye, ONE
+        for j, f in enumerate(factors):
+            if j != i:
+                p = p @ f
+                den = den * (lam - lams[j])
+        projs.append(p.scale(den ** -1))
+    return projs
+
+
+def _values(rep, family):
+    return [row.value for row in rep.rows if row.family == family]
+
+
+def _counts(rep, family):
+    return [row.rank for row in rep.rows if row.family == family]
+
+
+def _status(rep, name):
+    (check,) = [c for c in rep.checks.checks if c.name == name]
+    return check
+
+
+def _parity_op(n, residue):
+    out = Operator(1 << n)
+    for s in range(1 << n):
+        if popcount(s) % 2 == residue:
+            out.set(s, s, ONE)
+    return out
+
+
+def _sector_states(n, l):
+    return [s for s in range(1 << n) if popcount(s) == l]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_tr_certificates_match_lagrange_oracle(n):
+    kz = build_ktr(n, Z, PARAMS).operator
+    kw = build_ktr(n, W, PARAMS).operator
+    for l in range(n + 1):
+        rep = verify_tr_spectrum(n, l, Z, W, PARAMS)
+        vl, vnl = _sector_states(n, l), _sector_states(n, n - l)
+        m = kw.block(vl, vnl) @ kz.block(vnl, vl)
+        assert [rank(p) for p in _lagrange(m, _values(rep, "tr"))] == _counts(rep, "tr")
+
+
+def test_tr_middle_matches_lagrange_oracle():
+    n = 4
+    rep = verify_tr_middle(n, Z, PARAMS)
+    mid = _sector_states(n, n // 2)
+    m = build_ktr(n, Z, PARAMS).operator.block(mid, mid)
+    assert [rank(p) for p in _lagrange(m, _values(rep, "tr"))] == _counts(rep, "tr")
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_joint_certificates_match_lagrange_oracle(n):
+    rep = verify_k11_k21_joint(n, Z, W, PARAMS)
+    p11 = _lagrange(build_kkk(1, 1, n, Z, PARAMS).operator, _values(rep, "k11"))
+    p21 = _lagrange(build_kkk(2, 1, n, W, PARAMS).operator, _values(rep, "k21"))
+    assert [rank(p) for p in p11] == _counts(rep, "k11")
+    assert [rank(p) for p in p21] == _counts(rep, "k21")
+    for l in range(n + 1):
+        assert _status(rep, f"joint projector l={l}").ok == (p11[l] == p21[l])
+        assert _status(rep, f"projector idempotent l={l}").ok == (p11[l] @ p11[l] == p11[l])
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_k12_k22_certificates_match_lagrange_oracle(n):
+    rep = verify_k12_k22(n, Z, PARAMS)
+    p12 = _lagrange(build_kkk(1, 2, n, Z, PARAMS).operator, _values(rep, "k12"))
+    assert [rank(p) for p in p12] == _counts(rep, "k12")
+    c = build_kkk(2, 2, n, Z, PARAMS).operator
+    m22 = c if n % 2 == 0 else c @ c
+    assert [rank(p) for p in _lagrange(m22, _values(rep, "k22"))] == _counts(rep, "k22")
+    for l in range(n // 2 + 1):
+        quad = p12[l] if 2 * l == n else p12[l] + p12[n - l]
+        expected = comb(n, l) // 2 if 2 * l == n else comb(n, l)
+        for name, residue in (("even", 0), ("odd", 1)):
+            pr = _parity_op(n, residue)
+            got = rank(pr @ quad @ pr)
+            check = _status(rep, f"parity block rank l={l} ({name})")
+            assert check.detail == f"rank {got}, expected {expected}"
+            assert check.ok == (got == expected)
+
+
+def test_projector_along_other_eigenspaces():
+    # onto (1, 0) along (1, 1): the oblique projector [[1, -1], [0, 0]]
+    e0, diag = {0: ONE}, {0: ONE, 1: ONE}
+    p = _projector([e0], [diag], 2)
+    assert [[p.get(r, c) for c in range(2)] for r in range(2)] == \
+        [[ONE, -ONE], [Scalar(0), Scalar(0)]]
+    # no direct sum of the whole space: no projector
+    assert _projector([e0], [{0: Scalar(3)}], 2) is None
+    assert _projector([e0], [], 2) is None
+
+
+def _patched_build(monkeypatch, label, change):
+    """Make spectra.build_kkk return change(operator) for one boundary label."""
+    real = spectra.build_kkk
+
+    def build(k, kp, n, z, params):
+        km = real(k, kp, n, z, params)
+        if (k, kp) != label:
+            return km
+        return KMatrix(change(km.operator), km.kind, km.gauge, km.z, km.n)
+
+    monkeypatch.setattr(spectra, "build_kkk", build)
+
+
+def _bump(op):
+    out = op.copy()
+    out.add_to(0, 0, Scalar(1, 0, 97))
+    return out
+
+
+def _reverse_sites(op, n):
+    # conjugation by the site reversal, an involution: same spectrum,
+    # eigenspaces moved by the permutation
+    def flip(s):
+        return int(format(s, f"0{n}b")[::-1], 2)
+
+    out = Operator(op.nrows)
+    for r, c, v in op.entries():
+        out.set(flip(r), flip(c), v)
+    return out
+
+
+def test_joint_projector_negative_control(monkeypatch):
+    n = 3
+    _patched_build(monkeypatch, (2, 1), lambda op: _reverse_sites(op, n))
+    rep = verify_k11_k21_joint(n, Z, W, PARAMS)
+    # the conjugated K_{2,1} keeps its spectrum, so its rows still pass
+    assert all(row.ok for row in rep.rows)
+    p11 = _lagrange(build_kkk(1, 1, n, Z, PARAMS).operator, _values(rep, "k11"))
+    p21 = _lagrange(_reverse_sites(build_kkk(2, 1, n, W, PARAMS).operator, n),
+                    _values(rep, "k21"))
+    moved = [l for l in range(n + 1) if p11[l] != p21[l]]
+    assert moved
+    failed = [c.name for c in rep.checks.failures()]
+    assert [f"joint projector l={l}" for l in moved] == \
+        [name for name in failed if name.startswith("joint projector")]
+    assert "matrices commute" in failed
+    assert not any(name.startswith("projector idempotent") for name in failed)
+
+
+def test_direct_sum_negative_control(monkeypatch):
+    n = 3
+    _patched_build(monkeypatch, (1, 1), _bump)
+    rep = verify_k11_k21_joint(n, Z, W, PARAMS)
+    failed = [c.name for c in rep.checks.failures()]
+    assert "annihilating polynomial" in failed
+    assert all(f"projector idempotent l={l}" in failed for l in range(n + 1))
+    assert all(row.ok for row in rep.rows if row.family == "k21")
+
+
+def test_parity_block_rank_negative_controls(monkeypatch):
+    n = 3
+    names = [f"parity block rank l={l} ({p})" for l in range(2) for p in ("even", "odd")]
+    a = build_kkk(1, 2, n, Z, PARAMS).operator
+    lams = [eval_lambda_k12(n, l, Z, PARAMS) for l in range(n + 1)]
+    bases = _certify(SpectralReport("k12", n), a, lams,
+                     [(l, None, comb(n, l)) for l in range(n + 1)])
+    rep = SpectralReport("k12", n)
+    _parity_checks(rep, n, bases)
+    assert rep.ok and [c.name for c in rep.checks.checks] == names
+    # the split of the eigenspaces into components swapped
+    rep = SpectralReport("k12", n)
+    _parity_checks(rep, n, [bases[1], bases[0]] + bases[2:])
+    assert [c.name for c in rep.checks.failures()] == names
+    # one entry of K_{1,2} bumped: there is no projector to compress
+    _patched_build(monkeypatch, (1, 2), _bump)
+    rep = verify_k12_k22(n, Z, PARAMS)
+    failed = [c.name for c in rep.checks.failures()]
+    assert all(name in failed for name in names)
 
 
 def test_joint_on_sampled_points():
