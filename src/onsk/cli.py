@@ -29,7 +29,8 @@ from .field import (BadLiteral, GenericityError, Params, PoleError, Scalar,
                     format_scalar, make_params, parse_scalar, sample_params)
 from .kmatrix import (ZeroNormalizer, build_kkk, build_ktr,
                       check_commutativity, check_intertwining,
-                      check_kh_commute, check_unitarity)
+                      check_kh_commute, check_unitarity, gauge_tilde,
+                      kmatrix_for)
 from .linalg import Operator
 from .onsager import (CoidealSpec, SpecError, ZeroParameter,
                       check_onsager_relations, check_routes_agree,
@@ -249,12 +250,19 @@ def _suite_kmatrix(cfg: RunConfig, params: Params) -> Report:
     fam = _family(cfg)
     spec = _coideal(cfg, fam)
     rep = Report("kmatrix suite")
+    # each matrix is built right before its first use, dropped after its last
+    km = kmatrix_for(spec, params)
     if fam.tag == "A1":
-        rep.extend(check_unitarity(fam.n, params.z, params))
-        rep.extend(check_commutativity(fam.n, params.z,
-                                       _second_point(cfg, params), params))
-    rep.extend(check_intertwining(spec, params))
-    rep.extend(check_kh_commute(spec, params))
+        n, z = fam.n, params.z
+        rep.extend(check_unitarity(km, build_ktr(n, z.inverse(), params)))
+        w = _second_point(cfg, params)
+        rep.extend(check_commutativity(km, build_ktr(n, w, params),
+                                       build_kkk(1, 1, n, z, params),
+                                       build_kkk(1, 1, n, w, params)))
+    else:
+        km = gauge_tilde(km, params)
+    rep.extend(check_intertwining(spec, km, params))
+    rep.extend(check_kh_commute(spec, km, params))
     return rep
 
 
@@ -399,14 +407,16 @@ def _render_dump(cfg: RunConfig, meta: dict, op: Operator) -> str:
         lines = ["row,col,value"]
         lines += [f"{r},{c},{format_scalar(v)}" for r, c, v in entries]
         return "\n".join(lines) + "\n"
+    lines = _dump_head(meta) + [f"# shape {op.nrows} x {op.ncols}, {len(entries)} entries"]
+    lines += [f"{r} {c} {format_scalar(v)}" for r, c, v in entries]
+    return "\n".join(lines) + "\n"
+
+
+def _dump_head(meta: dict) -> list:
     head = " ".join(f"{k}={v}" for k, v in meta.items()
                     if k != "params" and v is not None)
     p = meta["params"]
-    lines = [f"# {head}",
-             f"# params t={p['t']} z={p['z']} eps={p['eps']} mu={p['mu']}",
-             f"# shape {op.nrows} x {op.ncols}, {len(entries)} entries"]
-    lines += [f"{r} {c} {format_scalar(v)}" for r, c, v in entries]
-    return "\n".join(lines) + "\n"
+    return [f"# {head}", f"# params t={p['t']} z={p['z']} eps={p['eps']} mu={p['mu']}"]
 
 
 def _render_generators(cfg: RunConfig, meta: dict, named: list) -> str:
@@ -424,11 +434,7 @@ def _render_generators(cfg: RunConfig, meta: dict, named: list) -> str:
             lines += [f"{name},{r},{c},{format_scalar(v)}"
                       for r, c, v in _sorted_entries(op)]
         return "\n".join(lines) + "\n"
-    head = " ".join(f"{k}={v}" for k, v in meta.items()
-                    if k != "params" and v is not None)
-    p = meta["params"]
-    lines = [f"# {head}",
-             f"# params t={p['t']} z={p['z']} eps={p['eps']} mu={p['mu']}"]
+    lines = _dump_head(meta)
     for name, op in named:
         entries = _sorted_entries(op)
         lines.append(f"# generator {name}, {len(entries)} entries")
@@ -455,10 +461,8 @@ def cmd_dump(cfg: RunConfig) -> int:
     meta.update(k=spec.k, kp=spec.kp)
     if cfg.target == "hamiltonian":
         op = hamiltonian(spec, params)
-    elif fam.tag == "A1":
-        op = build_ktr(fam.n, params.z, params).operator
     else:
-        op = build_kkk(spec.k, spec.kp, fam.n, params.z, params).operator
+        op = kmatrix_for(spec, params).operator
     _emit(cfg, _render_dump(cfg, meta, op))
     return 0
 
@@ -508,9 +512,6 @@ def main(argv=None) -> int:
         if cfg.subcommand == "dump":
             return cmd_dump(cfg)
         return cmd_spectrum(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _CONFIG_ERRORS as exc:
+    except (ConfigError, *_CONFIG_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,11 +11,15 @@ so each q-Pochhammer product behind them is evaluated once per build.  An
 independent route recovers the same matrices, up to normalization, as
 the unique solution of the generator exchange relations; agreement of
 the two routes is a checked invariant.
+
+The relation checks take the matrices they certify and build none; each
+refuses a matrix of another kind, gauge, size or point with SpecError.
+kmatrix_for maps a coideal spec to its K matrix; callers build each once.
 """
 
 from __future__ import annotations
 
-from .field import ONE, ZERO, Params, PoleError, Scalar
+from .field import ONE, ZERO, Params, PoleError, Scalar, format_scalar
 from .linalg import Operator, commutator, echelon_insert, first_entry, nullspace
 from .onsager import CoidealSpec, SpecError, bond_parameters, hamiltonian, onsager_generators
 from .poch import poch
@@ -152,24 +156,19 @@ def reference_value(kind, n: int, z: Scalar, params: Params) -> Scalar:
     if kind == "tr":
         return q ** (-n)
     k, kp = kind
+    z2 = z ** 2
+    q4 = q ** 4
     if (k, kp) != (2, 2):
         zm = z ** max(k, kp)
         qk = q ** (k * kp)
-        den = poch(-q * zm, qk, n)
-        if den.is_zero():
-            raise PoleError("reference entry pole")
-        return poch(zm, qk, n) / den
-    z2 = z ** 2
-    q4 = q ** 4
-    if n % 2 == 0:
-        den = poch(q ** 2 * z2, q4, n // 2)
-        if den.is_zero():
-            raise PoleError("reference entry pole")
-        return poch(z2, q4, n // 2) / den
-    den = poch(z2, q4, (n + 1) // 2)
+        num, den = poch(zm, qk, n), poch(-q * zm, qk, n)
+    elif n % 2 == 0:
+        num, den = poch(z2, q4, n // 2), poch(q ** 2 * z2, q4, n // 2)
+    else:
+        num, den = poch(q ** 2 * z2, q4, (n - 1) // 2), poch(z2, q4, (n + 1) // 2)
     if den.is_zero():
         raise PoleError("reference entry pole")
-    return poch(q ** 2 * z2, q4, (n - 1) // 2) / den
+    return num / den
 
 
 def build_kkk(k: int, kp: int, n: int, z: Scalar, params: Params) -> KMatrix:
@@ -226,48 +225,72 @@ def vee(km: KMatrix, params: Params) -> KMatrix:
     return KMatrix(global_flip(km.n) @ base.operator, km.kind, "vee", km.z, km.n)
 
 
-def check_unitarity(n: int, z: Scalar, params: Params) -> Report:
+def _require(km: KMatrix, kind, gauge: str, n: int, z=None) -> None:
+    # a check certifies one identity of given matrices; any other matrix
+    # is refused, never checked against a different identity
+    if ((km.kind, km.gauge, km.n) != (kind, gauge, n) or not isinstance(km.z, Scalar)
+            or z is not None and km.z != z):
+        at = "" if z is None else f" at z={format_scalar(z)}"
+        raise SpecError(f"expected the {gauge} {kind} K matrix with n={n}{at}, got {km!r}")
+
+
+def check_unitarity(kz: KMatrix, kinv: KMatrix) -> Report:
+    """Inversion relation of K_tr(z) and K_tr(1/z)."""
+    n = kz.n
+    _require(kz, "tr", "plain", n)
+    _require(kinv, "tr", "plain", n, kz.z.inverse())
     rep = Report(f"inversion relation n={n}")
-    kz = build_ktr(n, z, params).operator
-    kw = build_ktr(n, z.inverse(), params).operator
     eye = Operator.identity(1 << n)
-    rep.add_zero("K(z) K(1/z) = id", kz @ kw - eye)
-    rep.add_zero("K(1/z) K(z) = id", kw @ kz - eye)
+    rep.add_zero("K(z) K(1/z) = id", kz.operator @ kinv.operator - eye)
+    rep.add_zero("K(1/z) K(z) = id", kinv.operator @ kz.operator - eye)
     return rep
 
 
-def check_commutativity(n: int, z: Scalar, w: Scalar, params: Params) -> Report:
-    """Matrices at two spectral points are compared under the commutator.
+def check_commutativity(kz: KMatrix, kw: KMatrix, bz: KMatrix, bw: KMatrix) -> Report:
+    """K_tr and K_(1,1) at two spectral points are compared under the commutator.
 
     The trace kind commutes.  The boundary kind was expected not to, but
     exact computation shows the commutator vanishes there as well; the
     report states what was computed, and the divergence from the expected
     negative outcome is recorded in the project notes.
     """
+    n = kz.n
+    _require(kz, "tr", "plain", n)
+    _require(kw, "tr", "plain", n)
+    if kw.z == kz.z:
+        raise SpecError("commutativity needs two distinct spectral points")
+    _require(bz, (1, 1), "plain", n, kz.z)
+    _require(bw, (1, 1), "plain", n, kw.z)
     rep = Report(f"K commutativity n={n}")
-    kz = build_ktr(n, z, params).operator
-    kw = build_ktr(n, w, params).operator
-    rep.add_zero("trace kind commutes", commutator(kz, kw))
-    bz = build_kkk(1, 1, n, z, params).operator
-    bw = build_kkk(1, 1, n, w, params).operator
-    res = first_entry(commutator(bz, bw))
+    rep.add_zero("trace kind commutes", commutator(kz.operator, kw.operator))
+    res = first_entry(commutator(bz.operator, bw.operator))
     rep.add("boundary kind commutes", res is None,
             "contrary to the expected non-commutativity; documented divergence"
             if res is None else f"residual at ({res[0]},{res[1]}): {res[2]}")
     return rep
 
 
-def _kmatrix_for(spec: CoidealSpec, params: Params) -> KMatrix:
+def kmatrix_for(spec: CoidealSpec, params: Params) -> KMatrix:
+    """The plain K matrix of a coideal spec at params.z: K_tr(z) for the
+    cyclic family, K_(k,kp)(z) for a bounded one."""
     if spec.fam.tag == "A1":
         return build_ktr(spec.fam.n, params.z, params)
-    km = build_kkk(spec.k, spec.kp, spec.fam.n, params.z, params)
-    return gauge_tilde(km, params)
+    return build_kkk(spec.k, spec.kp, spec.fam.n, params.z, params)
 
 
-def check_intertwining(spec: CoidealSpec, params: Params) -> Report:
-    """Exchange relation K b_i = (b_i at inverted z) K for every node."""
+def _require_spec(spec: CoidealSpec, km: KMatrix, params: Params) -> None:
+    # the spec's matrix at params.z; a bounded kind in the tilde gauge
+    cyclic = spec.fam.tag == "A1"
+    _require(km, "tr" if cyclic else (spec.k, spec.kp), "plain" if cyclic else "tilde",
+             spec.fam.n, params.z)
+
+
+def check_intertwining(spec: CoidealSpec, km: KMatrix, params: Params) -> Report:
+    """Exchange relation K b_i = (b_i at inverted z) K for every node, for
+    km = kmatrix_for(spec, params), in the tilde gauge if bounded."""
+    _require_spec(spec, km, params)
     rep = Report(f"exchange relations {spec!r}")
-    kop = _kmatrix_for(spec, params).operator
+    kop = km.operator
     bs = onsager_generators(spec, params)
     bs_inv = onsager_generators(spec, params.inverted_z())
     for i, (b, binv) in enumerate(zip(bs, bs_inv)):
@@ -277,11 +300,13 @@ def check_intertwining(spec: CoidealSpec, params: Params) -> Report:
     return rep
 
 
-def check_kh_commute(spec: CoidealSpec, params: Params) -> Report:
-    """The spin-reversed K matrix commutes with the matching Hamiltonian."""
+def check_kh_commute(spec: CoidealSpec, km: KMatrix, params: Params) -> Report:
+    """The spin-reversed km, as check_intertwining takes it, commutes with
+    the matching Hamiltonian."""
+    _require_spec(spec, km, params)
     rep = Report(f"K-H commutativity {spec!r}")
     h = hamiltonian(spec, params)
-    kv = vee(_kmatrix_for(spec, params), params)
+    kv = vee(km, params)
     rep.add_zero("[K, H] = 0", commutator(kv.operator, h))
     if spec.fam.tag == "A1":
         ok = all(popcount(r) == popcount(c) for r, c, _ in kv.operator.entries())
@@ -315,14 +340,8 @@ def solve_intertwiner_space(spec: CoidealSpec, params: Params) -> list:
         for r in range(dim):
             left = binv.rows.get(r, {})
             for c in range(dim):
-                row: dict = {}
-                for a, v in cols.get(c, ()):
-                    key = r * dim + a
-                    cur = row.get(key, ZERO) + v
-                    if cur.is_zero():
-                        row.pop(key, None)
-                    else:
-                        row[key] = cur
+                # X b puts b's column c in row r of X: distinct nonzero terms
+                row = {r * dim + a: v for a, v in cols.get(c, ())}
                 for a, v in left.items():
                     key = a * dim + c
                     cur = row.get(key, ZERO) - v

@@ -16,7 +16,10 @@ Certificates are proved at the caller's points: the spectral parameter
 params.z and, for the trace compositions and K_{2,1}, a second point w.
 Nothing here chooses a point.  Each certificate evaluates its closed
 forms first and raises DegenerateEigenvalues, naming the point, when two
-of them coincide there, before any K matrix is built.
+of them coincide there, before any K matrix is built, and then builds
+each matrix it uses once (K_tr(z) and K_tr(w) serve every weight sector).
+Every closed form is one product of (x + e)/(1 + e x) over signed powers
+e, with x = z or z^2.
 """
 
 from __future__ import annotations
@@ -40,38 +43,27 @@ class DegenerateEigenvalues(ArithmeticError):
 
 def eval_rho_tr(n: int, l: int, j: int, z, params: Params) -> Scalar:
     """Eigenvalue of the cyclic K matrix on the (l, j) wedge slot."""
-    if not _in_wedge(n, l, j):
+    if not (n >= 1 and (0 <= j <= l if 2 * l <= n else l <= j <= n)):
         raise RangeError(f"(l, j)=({l}, {j}) outside the wedge for n={n}")
-    z = _coerce(z)
-    q = params.q
     e0 = abs(n - 2 * l) + 2
+    return _moebius(z, [-params.q ** (e0 + 2 * s) for s in range(abs(l - j))])
+
+
+def _moebius(x, es) -> Scalar:
+    """prod over e in es of (x + e)/(1 + e x)."""
+    x = _coerce(x)
     val = ONE
-    for s in range(abs(l - j)):
-        e = q ** (e0 + 2 * s)
-        val = val * (e - z) / (e * z - ONE)
+    for e in es:
+        val = val * (x + e) / (ONE + e * x)
     return val
-
-
-def _in_wedge(n: int, l: int, j: int) -> bool:
-    if n < 1:
-        return False
-    if 2 * l <= n:
-        return 0 <= j <= l
-    return l <= j <= n
 
 
 def eval_lambda_k11(n: int, l: int, z, params: Params) -> Scalar:
     """Eigenvalue of K_{1,1} on the l-th joint component."""
     if not 0 <= l <= n:
         raise RangeError(f"l={l} outside 0..{n}")
-    z = _coerce(z)
-    q = params.q
     c = 2 * l - n if 2 * l >= n else n - 1 - 2 * l
-    val = ONE
-    for jj in range(1, c + 1):
-        e = q ** jj
-        val = val * (e + z) / (ONE + e * z)
-    return val
+    return _moebius(z, [params.q ** jj for jj in range(1, c + 1)])
 
 
 def eval_lambda_k21(n: int, l: int, z, params: Params) -> Scalar:
@@ -82,36 +74,22 @@ def eval_lambda_k21(n: int, l: int, z, params: Params) -> Scalar:
     """
     if not 0 <= l <= n:
         raise RangeError(f"l={l} outside 0..{n}")
-    z2 = _coerce(z) ** 2
-    q = params.q
     if n % 2 == 0:
         m, e0 = (l - n // 2, 3) if 2 * l >= n else (n // 2 - l, 1)
     else:
         m, e0 = ((2 * l - n + 1) // 2, 1) if 2 * l > n else ((n - 1) // 2 - l, 3)
-    val = ONE
-    for s in range(m):
-        e = q ** (e0 + 4 * s)
-        val = val * (e + z2) / (ONE + e * z2)
-    return val
+    return _moebius(_coerce(z) ** 2, [params.q ** (e0 + 4 * s) for s in range(m)])
 
 
 def eval_lambda_k12(n: int, l: int, z, params: Params) -> Scalar:
     """Eigenvalue of K_{1,2} on the l-th component."""
     if not 0 <= l <= n:
         raise RangeError(f"l={l} outside 0..{n}")
-    z = _coerce(z)
     t = params.t
-    val = ONE
     # alternating signs, odd powers of t; the two wedges differ by a flip
     low = 2 * l <= n
-    for jj in range(1, abs(n - 2 * l) + 1):
-        e = t ** (2 * jj - 1)
-        plus = (jj % 2 == 1) == low
-        if plus:
-            val = val * (z + e) / (ONE + e * z)
-        else:
-            val = val * (z - e) / (ONE - e * z)
-    return val
+    return _moebius(z, [t ** (2 * jj - 1) if (jj % 2 == 1) == low else -t ** (2 * jj - 1)
+                        for jj in range(1, abs(n - 2 * l) + 1)])
 
 
 def eval_lambda_k22(n: int, l: int, z, params: Params) -> Scalar:
@@ -123,16 +101,9 @@ def eval_lambda_k22(n: int, l: int, z, params: Params) -> Scalar:
     z2 = _coerce(z) ** 2
     q = params.q
     if n % 2 == 0:
-        val = ONE
-        for s in range((n - 2 * l) // 2):
-            e = q ** (4 * s + 2)
-            val = val * (z2 - e) / (ONE - e * z2)
-        return val
-    val = params.t / (ONE - z2)
-    for s in range(1, (n + 1) // 2 - l):
-        e = q ** (4 * s)
-        val = val * (z2 - e) / (ONE - e * z2)
-    return val
+        return _moebius(z2, [-q ** (4 * s + 2) for s in range((n - 2 * l) // 2)])
+    return params.t / (ONE - z2) * _moebius(z2, [-q ** (4 * s)
+                                                 for s in range(1, (n + 1) // 2 - l)])
 
 
 # ---------------------------------------------------------------------------
@@ -320,57 +291,65 @@ def _certify(rep: SpectralReport, m, lams, rows_meta) -> list:
     return bases
 
 
-def verify_tr_spectrum(n: int, l: int, z, w, params: Params) -> SpectralReport:
-    """Certify the cyclic K matrix spectrum on one weight sector.
+def _tr_wedge(n: int, l: int) -> list:
+    """Row meta (l, j, expected count) of the wedge slots j of sector l."""
+    low = 2 * l <= n
+    meta = []
+    for j in range(l, -1, -1) if low else range(l, n + 1):
+        k = j - 1 if low else j + 1
+        meta.append((l, j, comb(n, j) - (comb(n, k) if k >= 0 else 0)))
+    return meta
+
+
+def verify_tr_spectrum(n: int, z, w, params: Params) -> list:
+    """Certify the cyclic K matrix spectrum, one report per weight sector.
 
     The matrix maps the sector l to n-l, so the certified object is the
     composition K(w)K(z) restricted to sector l; its eigenvalues are the
-    products of the two closed forms over the wedge.
+    products of the two closed forms over the wedge.  Every sector's
+    closed forms are checked distinct before K(z) and K(w) are built,
+    once each for all sectors.
     """
-    if not 0 <= l <= n:
-        raise RangeError(f"l={l} outside 0..{n}")
     z = _coerce(z)
     w = _coerce(w)
-    js = list(range(l, -1, -1)) if 2 * l <= n else list(range(l, n + 1))
-    lams = []
-    meta = []
-    for j in js:
-        lp, jp = n - l, n - j
-        if 2 * lp == n and 2 * jp > n:
-            jp = n - jp          # the middle sector is indexed up to reflection
-        lams.append(eval_rho_tr(n, l, j, z, params)
-                    * eval_rho_tr(n, lp, jp, w, params))
-        if 2 * l <= n:
-            expected = comb(n, j) - (comb(n, j - 1) if j >= 1 else 0)
-        else:
-            expected = comb(n, j) - (comb(n, j + 1) if j + 1 <= n else 0)
-        meta.append((l, j, expected))
-    _assert_distinct(lams, f"tr l={l}", z=z, w=w)
+    sectors = []
+    for l in range(n + 1):
+        meta = _tr_wedge(n, l)
+        lams = []
+        for _, j, _ in meta:
+            lp, jp = n - l, n - j
+            if 2 * lp == n and 2 * jp > n:
+                jp = n - jp          # the middle sector is indexed up to reflection
+            lams.append(eval_rho_tr(n, l, j, z, params) * eval_rho_tr(n, lp, jp, w, params))
+        _assert_distinct(lams, f"tr l={l}", z=z, w=w)
+        sectors.append((lams, meta))
     kz = build_ktr(n, z, params).operator
     kw = build_ktr(n, w, params).operator
-    vl = _sector(n, l)
-    vnl = _sector(n, n - l)
-    m = kw.block(vl, vnl) @ kz.block(vnl, vl)
-    rep = SpectralReport("tr", n)
-    _certify(rep, m, lams, meta)
-    return rep
+    reports = []
+    for l, (lams, meta) in enumerate(sectors):
+        vl = _sector(n, l)
+        vnl = _sector(n, n - l)
+        rep = SpectralReport("tr", n)
+        _certify(rep, kw.block(vl, vnl) @ kz.block(vnl, vl), lams, meta)
+        reports.append(rep)
+    return reports
 
 
 def verify_tr_middle(n: int, z, params: Params) -> SpectralReport:
     """Certify the cyclic K matrix directly on the middle weight sector.
 
-    Only even sizes have one: there the matrix is an endomorphism and the
-    closed forms themselves (not products of two) are its eigenvalues.
+    Only even sizes have one: there the matrix is an endomorphism, and its
+    eigenvalues are the closed forms themselves (not products of two)
+    times (-1)^(n/2).  That sign is the (-1)^l of kappa_tr(l) at
+    l = n/2, which multiplies every entry of the middle block.
     """
     if n % 2 != 0:
         raise RangeError(f"middle sector needs even size, got {n}")
     z = _coerce(z)
     l = n // 2
-    lams = []
-    meta = []
-    for j in range(l, -1, -1):
-        lams.append(eval_rho_tr(n, l, j, z, params))
-        meta.append((l, j, comb(n, j) - (comb(n, j - 1) if j >= 1 else 0)))
+    sign = ONE if l % 2 == 0 else -ONE
+    meta = _tr_wedge(n, l)
+    lams = [sign * eval_rho_tr(n, l, j, z, params) for _, j, _ in meta]
     _assert_distinct(lams, f"tr l={l}", z=z)
     vl = _sector(n, l)
     m = build_ktr(n, z, params).operator.block(vl, vl)
@@ -495,7 +474,7 @@ def spectrum_family(tag: str, n: int, params: Params, w) -> list:
     """
     z = params.z
     if tag == "tr":
-        return [verify_tr_spectrum(n, l, z, w, params) for l in range(n + 1)]
+        return verify_tr_spectrum(n, z, w, params)
     if tag in ("k11", "k21"):
         return [verify_k11_k21_joint(n, z, w, params)]
     if tag in ("k12", "k22"):

@@ -24,6 +24,7 @@ from onsk.kmatrix import (
     check_kh_commute,
     check_unitarity,
     gauge_tilde,
+    kmatrix_for,
     solve_intertwiner,
     solve_intertwiner_space,
     vee,
@@ -148,12 +149,14 @@ def test_03_coideal_relations_and_routes():
 
 def test_04_inversion_and_commutativity():
     start = time.perf_counter()
+    z = PARAMS.z
     for n in range(1, 6):
-        rep = check_unitarity(n, PARAMS.z, PARAMS)
+        rep = check_unitarity(build_ktr(n, z, PARAMS), build_ktr(n, z.inverse(), PARAMS))
         assert rep.passed, (n, rep.summary())
     w = sample_params(1).z
     for n in range(2, 6):
-        rep = check_commutativity(n, PARAMS.z, w, PARAMS)
+        rep = check_commutativity(build_ktr(n, z, PARAMS), build_ktr(n, w, PARAMS),
+                                  build_kkk(1, 1, n, z, PARAMS), build_kkk(1, 1, n, w, PARAMS))
         assert rep.passed, (n, rep.summary())
     # same-label boundary matrices commute exactly; the honest negative
     # statement is for mixed labels
@@ -181,8 +184,12 @@ def test_05_exchange_relations_and_hamiltonians():
     specs = [CoidealSpec(make_family("A1", 3))]
     specs += [CoidealSpec(make_family(tag, 3), k, kp)
               for tag, k, kp in NINE_BOUNDARY]
+    def spec_matrix(spec):
+        km = kmatrix_for(spec, PARAMS)
+        return km if km.kind == "tr" else gauge_tilde(km, PARAMS)
+
     for spec in specs:
-        rep = check_intertwining(spec, PARAMS)
+        rep = check_intertwining(spec, spec_matrix(spec), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
     recipes = [CoidealSpec(make_family("A1", 3)),
                CoidealSpec(make_family("D2", 2), 1, 1),
@@ -190,7 +197,7 @@ def test_05_exchange_relations_and_hamiltonians():
                CoidealSpec(make_family("BT1", 3), 1, 2),
                CoidealSpec(make_family("D1", 3), 2, 2)]
     for spec in recipes:
-        rep = check_kh_commute(spec, PARAMS)
+        rep = check_kh_commute(spec, spec_matrix(spec), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
     zs = (Scalar(2), Scalar(3), Scalar(5))
     kv = vee(build_ktr_multi(zs, PARAMS), PARAMS)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,10 @@ GOLDEN = (
 
 @pytest.mark.parametrize("name, argv", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_spectrum_matches_golden_output(capsys, name, argv):
+    assert_golden(capsys, name, argv)
+
+
+def assert_golden(capsys, name, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and err == ""
     if name.endswith(".json"):
@@ -186,6 +191,54 @@ def test_spectrum_matches_golden_output(capsys, name, argv):
         assert isinstance(doc.pop("elapsed_ms"), int)
         out = json.dumps(doc, indent=2) + "\n"
     assert out == (DATA / name).read_text()
+
+
+# kmatrix suite reports and K matrix dumps saved from the CLI while every
+# check still built its own matrices, with elapsed_ms removed from the JSON.
+KMATRIX_GOLDEN = tuple(
+    (f"verify_kmatrix_{fam}_n3_seed0.json",
+     ("verify", "--suite", "kmatrix", "--family", fam, "--n", "3",
+      "--format", "json", "--seed", "0"))
+    for fam in ("A", "D2", "B1", "BT1", "D1")) + tuple(
+    (f"dump_kmatrix_{fam}_n3_seed0.csv",
+     ("dump", "kmatrix", "--family", fam, "--n", "3", "--format", "csv",
+      "--seed", "0"))
+    for fam in ("A", "D1"))
+
+
+@pytest.mark.parametrize("name, argv", KMATRIX_GOLDEN, ids=[g[0] for g in KMATRIX_GOLDEN])
+def test_kmatrix_matches_golden_output(capsys, name, argv):
+    assert_golden(capsys, name, argv)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("verify", "--suite", "kmatrix", "--family", "A", "--n", "3"),
+     {"build_ktr": 3, "build_kkk": 2}),
+    (("verify", "--suite", "kmatrix", "--family", "D1", "--n", "3"),
+     {"build_kkk": 1}),
+    (("spectrum", "--family", "A", "--n", "3"), {"build_ktr": 2}),
+], ids=["verify-kmatrix-A", "verify-kmatrix-D1", "spectrum-A"])
+def test_each_k_matrix_built_once(capsys, monkeypatch, argv, want):
+    # K_tr at z, 1/z and w and K_(1,1) at z and w for family A; one
+    # bounded K; K_tr(z) and K_tr(w) for every weight sector
+    import onsk.cli as cli
+    import onsk.kmatrix as kmatrix
+    import onsk.spectra as spectra
+    builds = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            builds[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (kmatrix, cli, spectra):
+        for name in ("build_ktr", "build_kkk"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0
+    assert builds == want
 
 
 def test_spectral_rows_at_reported_point(capsys):
@@ -286,7 +339,7 @@ def test_bad_literal_exits_2(capsys):
 def test_failing_check_exits_1_and_names_it(capsys, monkeypatch):
     import onsk.cli as cli
 
-    def broken(n, z, params):
+    def broken(kz, kinv):
         rep = Report("inversion relation")
         rep.add("K(z) K(1/z) = id", False, "forced failure")
         return rep

@@ -17,6 +17,7 @@ from onsk.kmatrix import (
     check_unitarity,
     gauge_tilde,
     kappa_tr,
+    kmatrix_for,
     reference_value,
     solve_intertwiner,
     solve_intertwiner_space,
@@ -94,14 +95,29 @@ def test_ktr_pole_reports_entry():
     assert "entry" in str(err.value)
 
 
+def unitarity_inputs(n):
+    return build_ktr(n, PARAMS.z, PARAMS), build_ktr(n, PARAMS.z.inverse(), PARAMS)
+
+
+def commutativity_inputs(n, z, w):
+    return (build_ktr(n, z, PARAMS), build_ktr(n, w, PARAMS),
+            build_kkk(1, 1, n, z, PARAMS), build_kkk(1, 1, n, w, PARAMS))
+
+
+def spec_matrix(spec, prm):
+    """The matrix check_intertwining and check_kh_commute take for spec."""
+    km = kmatrix_for(spec, prm)
+    return km if km.kind == "tr" else gauge_tilde(km, prm)
+
+
 def test_unitarity():
     for n in (1, 2, 3, 4):
-        rep = check_unitarity(n, PARAMS.z, PARAMS)
+        rep = check_unitarity(*unitarity_inputs(n))
         assert rep.passed, rep.summary()
 
 
 def test_commutativity_trace_kind():
-    rep = check_commutativity(3, PARAMS.z, Scalar(5, 0, 11), PARAMS)
+    rep = check_commutativity(*commutativity_inputs(3, PARAMS.z, Scalar(5, 0, 11)))
     names = {c.name: c for c in rep.checks}
     assert names["trace kind commutes"].ok
 
@@ -109,7 +125,7 @@ def test_commutativity_trace_kind():
 def test_commutativity_boundary_kind_also_commutes():
     # expected here was non-commutation; exact computation says otherwise
     # (documented divergence, see the project notes)
-    rep = check_commutativity(2, Scalar(5, 0, 7), Scalar(3, 0, 11), PARAMS)
+    rep = check_commutativity(*commutativity_inputs(2, Scalar(5, 0, 7), Scalar(3, 0, 11)))
     names = {c.name: c for c in rep.checks}
     assert names["boundary kind commutes"].ok
     assert "divergence" in names["boundary kind commutes"].detail
@@ -258,7 +274,8 @@ def nine_specs():
 
 def test_intertwining_cyclic_family():
     for prm in seeds(2):
-        rep = check_intertwining(CoidealSpec(make_family("A1", 3)), prm)
+        spec = CoidealSpec(make_family("A1", 3))
+        rep = check_intertwining(spec, spec_matrix(spec, prm), prm)
         assert rep.passed, rep.summary()
         names = [c.name for c in rep.checks]
         assert "b1 free of z" in names and "b2 free of z" in names
@@ -266,26 +283,136 @@ def test_intertwining_cyclic_family():
 
 def test_intertwining_all_nine():
     for spec in nine_specs():
-        rep = check_intertwining(spec, PARAMS)
+        rep = check_intertwining(spec, spec_matrix(spec, PARAMS), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
 
 
-def test_kh_commute_five_recipes():
-    specs = [
+def five_recipes():
+    return [
         CoidealSpec(make_family("A1", 3)),
         CoidealSpec(make_family("D2", 2), 1, 1),
         CoidealSpec(make_family("B1", 3), 2, 1),
         CoidealSpec(make_family("BT1", 3), 1, 2),
         CoidealSpec(make_family("D1", 3), 2, 2),
     ]
-    for spec in specs:
-        rep = check_kh_commute(spec, PARAMS)
+
+
+def test_kh_commute_five_recipes():
+    for spec in five_recipes():
+        rep = check_kh_commute(spec, spec_matrix(spec, PARAMS), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
 
 
 def test_kh_commute_needs_recipe():
+    spec = CoidealSpec(make_family("D2", 2), 2, 1)
     with pytest.raises(SpecError):
-        check_kh_commute(CoidealSpec(make_family("D2", 2), 2, 1), PARAMS)
+        check_kh_commute(spec, spec_matrix(spec, PARAMS), PARAMS)
+
+
+def test_kmatrix_for_plain_matrix_of_spec():
+    spec = CoidealSpec(make_family("A1", 3))
+    assert kmatrix_for(spec, PARAMS).operator == build_ktr(3, PARAMS.z, PARAMS).operator
+    km = kmatrix_for(CoidealSpec(make_family("B1", 3), 2, 1), PARAMS)
+    assert (km.kind, km.gauge, km.n, km.z) == ((2, 1), "plain", 3, PARAMS.z)
+    assert km.operator == build_kkk(2, 1, 3, PARAMS.z, PARAMS).operator
+
+
+def _relabelled(km, **change):
+    fields = dict(kind=km.kind, gauge=km.gauge, z=km.z, n=km.n)
+    fields.update(change)
+    return KMatrix(km.operator, **fields)
+
+
+def test_checks_refuse_other_matrices():
+    # a matrix of the wrong kind, gauge, size or point is refused, never
+    # checked against a different identity
+    kz, kinv = unitarity_inputs(2)
+    with pytest.raises(SpecError):
+        check_unitarity(kz, kz)
+    with pytest.raises(SpecError):
+        check_unitarity(kz, build_ktr(3, PARAMS.z.inverse(), PARAMS))
+    with pytest.raises(SpecError):
+        check_unitarity(build_kkk(1, 1, 2, PARAMS.z, PARAMS), kinv)
+    with pytest.raises(SpecError):
+        check_unitarity(kz, _relabelled(kinv, gauge="vee"))
+    kz, kw, bz, bw = commutativity_inputs(2, PARAMS.z, Scalar(5, 0, 11))
+    with pytest.raises(SpecError):
+        check_commutativity(kz, kz, bz, bz)
+    with pytest.raises(SpecError):
+        check_commutativity(kz, kw, bw, bz)
+    with pytest.raises(SpecError):
+        check_commutativity(kz, kw, bz, build_kkk(1, 2, 2, Scalar(5, 0, 11), PARAMS))
+    with pytest.raises(SpecError):
+        check_commutativity(kz, build_ktr_multi((Scalar(5, 0, 11), Scalar(2)), PARAMS), bz, bw)
+    spec = CoidealSpec(make_family("D2", 2), 1, 1)
+    kt = spec_matrix(spec, PARAMS)
+    for check in (check_intertwining, check_kh_commute):
+        with pytest.raises(SpecError):
+            check(spec, kmatrix_for(spec, PARAMS), PARAMS)     # plain, not tilde
+        with pytest.raises(SpecError):
+            check(spec, kt, PARAMS.inverted_z())
+        with pytest.raises(SpecError):
+            check(CoidealSpec(make_family("D2", 2), 1, 2), kt, PARAMS)
+        with pytest.raises(SpecError):
+            check(CoidealSpec(make_family("D2", 3), 1, 1), kt, PARAMS)
+        with pytest.raises(SpecError):
+            check(CoidealSpec(make_family("A1", 3)), kt, PARAMS)
+
+
+def _bumped(km):
+    """km with its first nonzero entry moved by 1/97."""
+    r, c, _ = first_entry(km.operator)
+    op = km.operator.copy()
+    op.add_to(r, c, Scalar(1, 0, 97))
+    return KMatrix(op, km.kind, km.gauge, km.z, km.n)
+
+
+def assert_bumps_fail(check, inputs, names):
+    """Each input in turn, moved by 1/97 in one entry, fails the check
+    names[i] with a named residual, and every failure names a residual."""
+    assert check(*inputs).passed
+    for i, name in enumerate(names):
+        bumped = list(inputs)
+        bumped[i] = _bumped(inputs[i])
+        failed = check(*bumped).failures()
+        assert name in [c.name for c in failed], (i, failed)
+        assert all(c.detail.startswith("residual at (") for c in failed), (i, failed)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_unitarity_negative_control(n):
+    assert_bumps_fail(check_unitarity, unitarity_inputs(n), ["K(z) K(1/z) = id"] * 2)
+
+
+@pytest.mark.parametrize("n, z, w", [(3, PARAMS.z, Scalar(5, 0, 11)),
+                                     (2, Scalar(5, 0, 7), Scalar(3, 0, 11))], ids=["n3", "n2"])
+def test_commutativity_negative_control(n, z, w):
+    assert_bumps_fail(check_commutativity, commutativity_inputs(n, z, w),
+                      ["trace kind commutes"] * 2 + ["boundary kind commutes"] * 2)
+
+
+# The first nonzero entry of K_tr(z) is the corner (0, 2^n - 1), alone in
+# its weight slice.  Each weight slice of K_tr satisfies the exchange
+# relations on its own (test_solver_space_structure_cyclic), and the flip
+# takes it to a weight block, which commutes with the weight-preserving H,
+# so neither check sees that entry.
+CORNER_BLIND = pytest.mark.xfail(strict=True, reason="the corner entry of K_tr "
+                                 "is not constrained by the exchange relations or by [K, H]")
+RECIPES = [pytest.param(spec, id=spec.fam.tag,
+                        marks=CORNER_BLIND if spec.fam.tag == "A1" else ())
+           for spec in five_recipes()]
+
+
+@pytest.mark.parametrize("spec", RECIPES)
+def test_intertwining_negative_control(spec):
+    assert_bumps_fail(lambda km: check_intertwining(spec, km, PARAMS),
+                      [spec_matrix(spec, PARAMS)], ["K b0 exchange"])
+
+
+@pytest.mark.parametrize("spec", RECIPES)
+def test_kh_commute_negative_control(spec):
+    assert_bumps_fail(lambda km: check_kh_commute(spec, km, PARAMS),
+                      [spec_matrix(spec, PARAMS)], ["[K, H] = 0"])
 
 
 def test_quasi_commutativity_arbitrary_coefficients():

@@ -79,7 +79,7 @@ def test_closed_form_wrapper():
     with pytest.raises(RangeError):
         spectrum_family("nope", 3, PARAMS, W)
     with pytest.raises(RangeError):
-        verify_tr_spectrum(3, 4, Z, W, PARAMS)
+        verify_tr_spectrum(0, Z, W, PARAMS)
     with pytest.raises(RangeError):
         eval_rho_tr(4, 1, 2, Z, PARAMS)
     with pytest.raises(RangeError):
@@ -240,21 +240,25 @@ def test_tr_middle_display():
 
 
 def test_tr_spectrum_composed():
-    for n, l in ((3, 0), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)):
-        rep = verify_tr_spectrum(n, l, Z, W, PARAMS)
-        assert rep.ok, rep.checks.failures()
-        total = sum(row.rank for row in rep.rows)
-        assert total == comb(n, l)
-    rep = verify_tr_spectrum(3, 1, Z, W, PARAMS)
+    for n in (3, 4, 5):
+        reports = verify_tr_spectrum(n, Z, W, PARAMS)
+        assert len(reports) == n + 1
+        for l, rep in enumerate(reports):
+            assert rep.ok, rep.checks.failures()
+            assert {row.l for row in rep.rows} == {l}
+            assert sum(row.rank for row in rep.rows) == comb(n, l)
+    rep = verify_tr_spectrum(3, Z, W, PARAMS)[1]
     assert [(row.j, row.expected) for row in rep.rows] == [(1, 2), (0, 1)]
     with pytest.raises(RangeError):
-        verify_tr_spectrum(3, 4, Z, W, PARAMS)
+        verify_tr_spectrum(0, Z, W, PARAMS)
 
 
-def test_tr_spectrum_inverse_point_degenerates():
-    # at w = 1/z the composition is the identity and all eigenvalues collide
+def test_tr_spectrum_inverse_point_degenerates(monkeypatch):
+    # at w = 1/z the composition is the identity and all eigenvalues
+    # collide: rejected before K(z) or K(w) is built
+    monkeypatch.setattr(spectra, "build_ktr", None)
     with pytest.raises(DegenerateEigenvalues):
-        verify_tr_spectrum(3, 1, Z, Z ** -1, PARAMS)
+        verify_tr_spectrum(3, Z, Z ** -1, PARAMS)
     kz = build_ktr(3, Z, PARAMS).operator
     kw = build_ktr(3, Z ** -1, PARAMS).operator
     states = [s for s in range(8) if popcount(s) == 1]
@@ -365,16 +369,17 @@ def _sector_states(n, l):
 def test_tr_certificates_match_lagrange_oracle(n):
     kz = build_ktr(n, Z, PARAMS).operator
     kw = build_ktr(n, W, PARAMS).operator
-    for l in range(n + 1):
-        rep = verify_tr_spectrum(n, l, Z, W, PARAMS)
+    for l, rep in enumerate(verify_tr_spectrum(n, Z, W, PARAMS)):
         vl, vnl = _sector_states(n, l), _sector_states(n, n - l)
         m = kw.block(vl, vnl) @ kz.block(vnl, vl)
         assert [rank(p) for p in _lagrange(m, _values(rep, "tr"))] == _counts(rep, "tr")
 
 
-def test_tr_middle_matches_lagrange_oracle():
-    n = 4
+@pytest.mark.parametrize("n", (2, 4, 6))
+def test_tr_middle_matches_lagrange_oracle(n):
+    # the closed forms times (-1)^(n/2), whose sign shows at n = 2 and 6
     rep = verify_tr_middle(n, Z, PARAMS)
+    assert rep.ok, rep.checks.failures()
     mid = _sector_states(n, n // 2)
     m = build_ktr(n, Z, PARAMS).operator.block(mid, mid)
     assert [rank(p) for p in _lagrange(m, _values(rep, "tr"))] == _counts(rep, "tr")
