@@ -20,7 +20,7 @@ kmatrix_for maps a coideal spec to its K matrix; callers build each once.
 from __future__ import annotations
 
 from .field import ONE, ZERO, Params, PoleError, Scalar, format_scalar
-from .linalg import Operator, commutator, echelon_insert, first_entry, nullspace
+from .linalg import Operator, commutator, first_entry, kernel
 from .onsager import CoidealSpec, SpecError, bond_parameters, hamiltonian, onsager_generators
 from .poch import poch
 from .qboson import QBosonEngine, boundary_contract
@@ -332,26 +332,29 @@ def solve_intertwiner_space(spec: CoidealSpec, params: Params) -> list:
     dim = 1 << n
     bs = onsager_generators(spec, params)
     bs_inv = onsager_generators(spec, params.inverted_z())
-    pivots: dict = {}
-    for b, binv in zip(bs, bs_inv):
-        cols: dict = {}
-        for a, c, v in b.entries():
-            cols.setdefault(c, []).append((a, v))
-        for r in range(dim):
-            left = binv.rows.get(r, {})
-            for c in range(dim):
-                # X b puts b's column c in row r of X: distinct nonzero terms
-                row = {r * dim + a: v for a, v in cols.get(c, ())}
-                for a, v in left.items():
-                    key = a * dim + c
-                    cur = row.get(key, ZERO) - v
-                    if cur.is_zero():
-                        row.pop(key, None)
-                    else:
-                        row[key] = cur
-                echelon_insert(pivots, row)
+
+    def rows():
+        """One row of X b - binv X per generator and entry (r, c) of X."""
+        for b, binv in zip(bs, bs_inv):
+            cols: dict = {}
+            for a, c, v in b.entries():
+                cols.setdefault(c, []).append((a, v))
+            for r in range(dim):
+                left = binv.rows.get(r, {})
+                for c in range(dim):
+                    # X b puts b's column c in row r of X: distinct nonzero terms
+                    row = {r * dim + a: v for a, v in cols.get(c, ())}
+                    for a, v in left.items():
+                        key = a * dim + c
+                        cur = row.get(key, ZERO) - v
+                        if cur.is_zero():
+                            row.pop(key, None)
+                        else:
+                            row[key] = cur
+                    yield row
+
     basis = []
-    for x in nullspace(pivots, dim * dim):
+    for x in kernel(rows(), dim * dim):
         op = Operator(dim, dim)
         for u, val in x.items():
             op.set(u // dim, u % dim, val)

@@ -1,8 +1,10 @@
 """Sparse exact linear algebra over the Gaussian rationals.
 
-Operators are dict-of-dicts over Scalar entries.  One sparse echelon
-routine serves every elimination (ranks, nullspaces, the exchange-relation
-solver); it divides exactly, so ranks and nullspaces carry no thresholds.
+Operators are dict-of-dicts over Scalar entries, and a row is a sparse
+{col: Scalar} dict with no stored zeros.  One private sparse echelon
+serves every elimination: callers pass rows and get a kernel, a rank,
+pivot columns or an inverse, never the echelon form itself.  It divides
+exactly, so ranks and kernels carry no thresholds.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ class Operator:
 
     @staticmethod
     def identity(n: int) -> "Operator":
-        out = Operator(n)
-        for i in range(n):
-            out.rows[i] = {i: ONE}
+        return Operator.from_rows([{i: ONE} for i in range(n)], n)
+
+    @staticmethod
+    def from_rows(rows, ncols: int) -> "Operator":
+        """Operator whose row i is the i-th sparse row {col: value}."""
+        out = Operator(len(rows), ncols)
+        out.rows = {i: dict(row) for i, row in enumerate(rows) if row}
         return out
 
     def copy(self) -> "Operator":
@@ -145,9 +151,6 @@ class Operator:
                 out.rows[i] = row
         return out
 
-    def to_dense(self):
-        return [[self.get(r, c) for c in range(self.ncols)] for r in range(self.nrows)]
-
 
 def commutator(a: Operator, b: Operator) -> Operator:
     return a @ b - b @ a
@@ -162,7 +165,7 @@ def first_entry(op: Operator):
     return best
 
 
-def echelon_insert(pivots: dict, row: dict) -> None:
+def _echelon_insert(pivots: dict, row: dict) -> None:
     """Reduce a sparse row {col: value} against the pivot rows and keep the rest.
 
     pivots maps each leading column to its row, normalised to 1 there; a
@@ -187,7 +190,7 @@ def echelon_insert(pivots: dict, row: dict) -> None:
         row = new
 
 
-def nullspace(pivots: dict, ncols: int) -> list:
+def _nullspace(pivots: dict, ncols: int) -> list:
     """Right nullspace of the rows reduced into pivots, by back-substitution.
 
     One sparse vector {col: value} per free column, in increasing order:
@@ -215,33 +218,53 @@ def nullspace(pivots: dict, ncols: int) -> list:
 def _reduce(rows) -> dict:
     pivots: dict = {}
     for row in rows:
-        echelon_insert(pivots, row)
+        _echelon_insert(pivots, row)
     return pivots
 
 
-def _sparse(rows):
-    return ({c: v for c, v in enumerate(row) if not v.is_zero()} for row in rows)
+def kernel(rows, ncols: int) -> list:
+    """Basis of the right nullspace of the sparse rows, as sparse vectors.
+
+    The basis is canonical: one vector per free column, in increasing
+    order, with 1 at its own free column and 0 at every other one.  The
+    free columns depend only on the row span, so the basis does not depend
+    on the order of the rows or on repeated rows.
+    """
+    return _nullspace(_reduce(rows), ncols)
 
 
 def pivot_columns(rows) -> list:
-    """Leading columns of an echelon form of the given dense rows, ascending.
+    """Leading columns of an echelon form of the sparse rows, ascending.
 
     They depend only on the span of the rows: each is the first nonzero
     column of some vector in it, so restricting the span to them is
     injective.
     """
-    return sorted(_reduce(_sparse(rows)))
+    return sorted(_reduce(rows))
 
 
 def rank_rows(rows) -> int:
-    return len(_reduce(_sparse(rows)))
+    """Rank of the sparse rows."""
+    return len(_reduce(rows))
 
 
 def rank(op: Operator) -> int:
     return len(_reduce(op.rows.values()))
 
 
-def nullspace_rows(rows, ncols):
-    """Basis of the right nullspace of the given row list, as dense rows."""
-    return [[x.get(c, ZERO) for c in range(ncols)]
-            for x in nullspace(_reduce(_sparse(rows)), ncols)]
+def inverse(op: Operator):
+    """Inverse of a square op, or None when op is singular.
+
+    The rows of [op | -I] are independent, and their pivots all lie in
+    the first k columns exactly when op is invertible.  Then the kernel
+    vector of free column k + i is (x, e_i) with op x = e_i, so x is the
+    i-th column of the inverse.
+    """
+    k = op.nrows
+    if op.ncols != k:
+        raise ValueError("shape mismatch")
+    pivots = _reduce({**op.rows.get(i, {}), k + i: -ONE} for i in range(k))
+    if any(u >= k for u in pivots):
+        return None
+    cols = [{r: v for r, v in x.items() if r < k} for x in _nullspace(pivots, 2 * k)]
+    return Operator.from_rows(cols, k).transpose()

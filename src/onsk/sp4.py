@@ -290,18 +290,21 @@ def delta_op(poly, params: Params) -> TensorOp4:
 def _pure_sum_zero(items) -> bool:
     """Whether sum of coeff * v1 (x) v2 (x) v3 (x) v4 vanishes.
 
-    Each slot's vectors are echelonised; a pivot row is zero left of its
-    leading column and 1 there, so restricting that slot's span to its
-    pivot columns P_s is injective.  A tensor product of injective maps is
-    injective, so the sum vanishes iff it vanishes on P1 x P2 x P3 x P4.
+    Each slot's distinct vectors, made sparse, are echelonised; a pivot
+    row is zero left of its leading column and 1 there, so restricting
+    that slot's span to its pivot columns P_s is injective.  A tensor
+    product of injective maps is injective, so the sum vanishes iff it
+    vanishes on P1 x P2 x P3 x P4.
     """
-    cols = [pivot_columns(dict.fromkeys(item[slot] for item in items)) for slot in (1, 2, 3, 4)]
+    sparse = [{v: {m: x for m, x in enumerate(v) if not x.is_zero()}
+               for v in dict.fromkeys(item[slot] for item in items)} for slot in (1, 2, 3, 4)]
+    cols = [pivot_columns(vecs.values()) for vecs in sparse]
     total: dict = {}
     for coeff, *vecs in items:
         part = {(): coeff}
-        for vec, pivots in zip(vecs, cols):
-            part = {key + (p,): c * vec[p] for key, c in part.items()
-                    for p in pivots if not vec[p].is_zero()}
+        for vec, slot_vecs, pivots in zip(vecs, sparse, cols):
+            vec = slot_vecs[vec]
+            part = {key + (p,): c * vec[p] for key, c in part.items() for p in pivots if p in vec}
         for key, c in part.items():
             cur = total.get(key)
             total[key] = c if cur is None else cur + c

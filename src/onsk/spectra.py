@@ -2,8 +2,8 @@
 
 Each conjectured decomposition is proved from exact kernel bases: for
 every closed-form eigenvalue lam the kernel of M - lam*I is computed with
-the one sparse echelon of onsk.linalg, and every basis vector is checked
-to satisfy M v = lam v.  The eigenvalues are pairwise distinct, so when
+onsk.linalg.kernel, and every basis vector is checked to satisfy
+M v = lam v.  The eigenvalues are pairwise distinct, so when
 the checked counts sum to dim M the eigenspaces are a direct sum of the
 whole space; M is then diagonalisable, its annihilating polynomial
 vanishes and its spectral projectors are the Lagrange projectors, none of
@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .field import ONE, ZERO, Params, Scalar, _coerce, format_scalar
+from .field import ONE, Params, Scalar, _coerce, format_scalar
 from .kmatrix import build_kkk, build_ktr
-from .linalg import Operator, echelon_insert, nullspace, rank, rank_rows
+from .linalg import Operator, inverse, kernel, rank, rank_rows
 from .report import Report
 from .spinrep import RangeError, popcount
 
@@ -127,31 +127,12 @@ def _assert_distinct(lams, what: str, **point) -> None:
 def _eigenbasis(m: Operator, lam: Scalar) -> list:
     """Basis of the kernel of m - lam*I, each vector checked to satisfy m v = lam v.
 
-    The rows of m - lam*I go through the one sparse echelon and the kernel
-    is read off by back-substitution; a vector only counts once one
-    Operator.apply has shown m v = lam v exactly.
+    A vector only counts once one Operator.apply has shown m v = lam v
+    exactly.
     """
-    pivots: dict = {}
-    for r in range(m.nrows):
-        row = dict(m.rows.get(r, {}))
-        d = row.get(r, ZERO) - lam
-        if d.is_zero():
-            row.pop(r, None)
-        else:
-            row[r] = d
-        if row:
-            echelon_insert(pivots, row)
-    checked = []
-    for v in nullspace(pivots, m.ncols):
-        image = {c: lam * x for c, x in v.items()} if lam else {}
-        if m.apply(v) == image:
-            checked.append(v)
-    return checked
-
-
-def _span(vectors, dim: int) -> int:
-    """Rank of the stacked sparse vectors."""
-    return rank_rows([[v.get(c, ZERO) for c in range(dim)] for v in vectors])
+    shifted = m - Operator.identity(m.nrows).scale(lam)
+    return [v for v in kernel(shifted.rows.values(), m.ncols)
+            if m.apply(v) == ({c: lam * x for c, x in v.items()} if lam else {})]
 
 
 def _projector(vectors, others, dim: int):
@@ -160,35 +141,15 @@ def _projector(vectors, others, dim: int):
     P = V (W^T V)^-1 W^T, where the columns of W span the annihilator of
     the other eigenspaces (every w has w.u = 0 for each u in others).  It
     exists exactly when the two spans form a direct sum of the whole
-    space; then W^T V is square and invertible, and its inverse is read
-    off the kernel of [W^T V | -I].
+    space; then W^T V is square and invertible.
     """
-    k = len(vectors)
-    ann: dict = {}
-    for u in others:
-        echelon_insert(ann, u)
-    ws = nullspace(ann, dim)
-    if len(ws) != k:
+    ws = kernel(others, dim)
+    if len(ws) != len(vectors):
         return None
-    wt = Operator(k, dim)
-    wt.rows = dict(enumerate(ws))
-    vt = Operator(k, dim)
-    vt.rows = dict(enumerate(vectors))
-    v = vt.transpose()
-    gram = wt @ v
-    aug: dict = {}
-    for i in range(k):
-        row = dict(gram.rows.get(i, {}))
-        row[k + i] = -ONE
-        echelon_insert(aug, row)
-    if sorted(aug) != list(range(k)):
-        return None
-    inv = Operator(k)
-    for i, x in enumerate(nullspace(aug, 2 * k)):
-        for r, val in x.items():
-            if r < k:
-                inv.rows.setdefault(r, {})[i] = val
-    return (v @ inv) @ wt
+    wt = Operator.from_rows(ws, dim)
+    v = Operator.from_rows(vectors, dim).transpose()
+    inv = inverse(wt @ v)
+    return None if inv is None else (v @ inv) @ wt
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +220,9 @@ def spectra_csv(reports) -> str:
 # verification routines
 
 
-def _certify(rep: SpectralReport, m, lams, rows_meta) -> list:
-    """Shared eigenspace certificate; returns the checked kernel bases.
+def _certify(rep: SpectralReport, family: str, m, lams, rows_meta) -> list:
+    """Eigenspace certificate of one family, appended to rep; returns the
+    checked kernel bases.
 
     For each closed-form eigenvalue lam the kernel of m - lam*I is taken
     exactly and every basis vector is checked to satisfy m v = lam v; the
@@ -283,7 +245,7 @@ def _certify(rep: SpectralReport, m, lams, rows_meta) -> list:
     rep.checks.add("annihilating polynomial", sum(map(len, bases)) == dim)
     total = 0
     for lam, basis, (l, j, expected) in zip(lams, bases, rows_meta):
-        rep.rows.append(SpectralRow(rep.family, rep.n, l, j, lam,
+        rep.rows.append(SpectralRow(family, rep.n, l, j, lam,
                                     bool(basis), len(basis), expected))
         total += expected
     rep.checks.add("multiplicity sum", total == dim,
@@ -330,7 +292,7 @@ def verify_tr_spectrum(n: int, z, w, params: Params) -> list:
         vl = _sector(n, l)
         vnl = _sector(n, n - l)
         rep = SpectralReport("tr", n)
-        _certify(rep, kw.block(vl, vnl) @ kz.block(vnl, vl), lams, meta)
+        _certify(rep, "tr", kw.block(vl, vnl) @ kz.block(vnl, vl), lams, meta)
         reports.append(rep)
     return reports
 
@@ -354,7 +316,7 @@ def verify_tr_middle(n: int, z, params: Params) -> SpectralReport:
     vl = _sector(n, l)
     m = build_ktr(n, z, params).operator.block(vl, vl)
     rep = SpectralReport("tr", n)
-    _certify(rep, m, lams, meta)
+    _certify(rep, "tr", m, lams, meta)
     return rep
 
 
@@ -370,18 +332,14 @@ def verify_k11_k21_joint(n: int, z, w, params: Params) -> SpectralReport:
     b = build_kkk(2, 1, n, w, params).operator
     rep = SpectralReport("k11", n)
     meta = [(l, None, comb(n, l)) for l in range(n + 1)]
-    v11 = _certify(rep, a, lams11, meta)
-    rep21 = SpectralReport("k21", n)
-    v21 = _certify(rep21, b, lams21, meta)
-    for row in rep21.rows:
-        rep.rows.append(row)
-    rep.checks.extend(rep21.checks)
+    v11 = _certify(rep, "k11", a, lams11, meta)
+    v21 = _certify(rep, "k21", b, lams21, meta)
     # equal eigenspaces give equal spectral projectors; a direct sum of
     # the whole space makes every projector of K_{1,1} idempotent
     dim = 1 << n
-    direct = _span([v for basis in v11 for v in basis], dim) == dim
+    direct = rank_rows(v for basis in v11 for v in basis) == dim
     for l in range(n + 1):
-        both = _span(v11[l] + v21[l], dim)
+        both = rank_rows(v11[l] + v21[l])
         rep.checks.add(f"joint projector l={l}",
                        both == len(v11[l]) == len(v21[l]))
         rep.checks.add(f"projector idempotent l={l}", direct)
@@ -406,26 +364,23 @@ def verify_k12_k22(n: int, z, params: Params) -> SpectralReport:
     rep = SpectralReport("k12", n)
 
     meta12 = [(l, None, comb(n, l)) for l in range(n + 1)]
-    v12 = _certify(rep, a, lams12, meta12)
+    v12 = _certify(rep, "k12", a, lams12, meta12)
 
-    rep22 = SpectralReport("k22", n)
     for l in range(top + 1):
         flipped = eval_lambda_k22(n, l, -z, params)
-        rep22.checks.add(f"even in z, l={l}", flipped == lams22[l])
+        rep.checks.add(f"even in z, l={l}", flipped == lams22[l])
     if even:
         meta22 = [(l, None, 2 * comb(n, l) if l < top else comb(n, top))
                   for l in range(top + 1)]
-        _certify(rep22, c, cert22, meta22)
+        _certify(rep, "k22", c, cert22, meta22)
     else:
         meta22 = [(l, None, 2 * comb(n, l)) for l in range(top + 1)]
-        _certify(rep22, c @ c, cert22, meta22)
+        _certify(rep, "k22", c @ c, cert22, meta22)
     swap = not even
     parity_ok = all((popcount(r) + popcount(cc)) % 2 == (1 if swap else 0)
                     for r, cc, _ in c.entries())
-    rep22.checks.add("parity sectors swapped" if swap else "parity sectors preserved",
-                     parity_ok)
-    rep.rows.extend(rep22.rows)
-    rep.checks.extend(rep22.checks)
+    rep.checks.add("parity sectors swapped" if swap else "parity sectors preserved",
+                   parity_ok)
 
     _parity_checks(rep, n, v12)
     return rep

@@ -220,7 +220,7 @@ def test_06_direct_solver():
     # the cyclic family and the both-even boundary keep extra freedom;
     # assert the true dimensions and that the built matrix lies in the space
     def flat(op, dim):
-        return [op.get(r, c) for r in range(dim) for c in range(dim)]
+        return {r * dim + c: v for r, c, v in op.entries()}
 
     space_dims = []
     for n, want in ((3, 6), (4, 7)):

@@ -211,6 +211,14 @@ def test_kmatrix_matches_golden_output(capsys, name, argv):
     assert_golden(capsys, name, argv)
 
 
+def test_sp4_matches_golden_output(capsys):
+    # saved from the CLI while _pure_sum_zero still echelonised dense rows,
+    # with elapsed_ms removed from the JSON
+    assert_golden(capsys, "verify_sp4_trunc10_seed0.json",
+                  ("verify", "--suite", "sp4", "--trunc", "10", "--format", "json",
+                   "--seed", "0"))
+
+
 @pytest.mark.parametrize("argv, want", [
     (("verify", "--suite", "kmatrix", "--family", "A", "--n", "3"),
      {"build_ktr": 3, "build_kkk": 2}),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from onsk import kmatrix
 from onsk.field import ONE, PoleError, Scalar, make_params, parse_scalar, sample_params
 from onsk.kmatrix import (
     KMatrix,
@@ -528,6 +529,38 @@ def test_solver_degenerate_raises():
         solve_intertwiner(CoidealSpec(make_family("D1", 3), 2, 2), PARAMS)
 
 
+@pytest.mark.parametrize("which", range(4))
+def test_solver_generator_negative_control(monkeypatch, which):
+    # one generator's first nonzero entry moved by 1/97, at both points:
+    # the exchange relations then admit no matrix at all
+    spec = CoidealSpec(make_family("D2", 3), 1, 1)
+    real = kmatrix.onsager_generators
+
+    def bumped(spec, params):
+        bs = list(real(spec, params))
+        b = bs[which].copy()
+        r, c, _ = first_entry(b)
+        b.add_to(r, c, Scalar(1, 0, 97))
+        bs[which] = b
+        return bs
+
+    assert len(real(spec, PARAMS)) == 4
+    monkeypatch.setattr(kmatrix, "onsager_generators", bumped)
+    assert solve_intertwiner_space(spec, PARAMS) == []
+    with pytest.raises(NullspaceDimensionError):
+        solve_intertwiner(spec, PARAMS)
+
+
+def test_solver_rechecks_every_kernel_vector(monkeypatch):
+    # a spurious kernel vector (the unit matrix at entry (0, 0)) must be
+    # caught by the exact re-check against every exchange relation
+    spec = CoidealSpec(make_family("D2", 3), 1, 1)
+    real = kmatrix.kernel
+    monkeypatch.setattr(kmatrix, "kernel", lambda rows, ncols: real(rows, ncols) + [{0: ONE}])
+    with pytest.raises(ArithmeticError, match="solved matrix fails the exchange relations"):
+        solve_intertwiner_space(spec, PARAMS)
+
+
 @pytest.mark.xfail(strict=True, reason="exchange relations alone leave extra "
                    "freedom for the cyclic family and for both-even boundaries; "
                    "dimension-one expectation refuted (see notes)")
@@ -536,7 +569,7 @@ def test_solver_uniqueness_expected_everywhere():
 
 
 def _flat(op, dim):
-    return [op.get(r, c) for r in range(dim) for c in range(dim)]
+    return {r * dim + c: v for r, c, v in op.entries()}
 
 
 def test_solver_space_structure_both_even_boundaries():

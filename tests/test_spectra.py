@@ -295,7 +295,7 @@ def test_certificate_negative_controls():
 
     def certify(m, values):
         rep = SpectralReport("k11", n)
-        _certify(rep, m, values, meta)
+        _certify(rep, "k11", m, values, meta)
         return rep
 
     assert certify(k11, lams).ok
@@ -491,7 +491,7 @@ def test_parity_block_rank_negative_controls(monkeypatch):
     names = [f"parity block rank l={l} ({p})" for l in range(2) for p in ("even", "odd")]
     a = build_kkk(1, 2, n, Z, PARAMS).operator
     lams = [eval_lambda_k12(n, l, Z, PARAMS) for l in range(n + 1)]
-    bases = _certify(SpectralReport("k12", n), a, lams,
+    bases = _certify(SpectralReport("k12", n), "k12", a, lams,
                      [(l, None, comb(n, l)) for l in range(n + 1)])
     rep = SpectralReport("k12", n)
     _parity_checks(rep, n, bases)
