@@ -36,17 +36,19 @@ from .onsager import (CoidealSpec, SpecError, ZeroParameter,
                       check_onsager_relations, check_routes_agree,
                       check_tl_relations, hamiltonian, onsager_generators)
 from .report import Report
-from .sp4 import TruncationMarginError, check_annihilation, check_lemma_identities
+from .sp4 import (TruncationMarginError, check_annihilation, check_boundary_series,
+                  check_lemma_identities)
 from .spectra import (DegenerateEigenvalues, spectra_csv, spectrum_family,
                       spectrum_suite)
 from .spinrep import (FAMILIES, Family, RangeError, check_defining_relations,
                       generators)
 
-SUITES = ("defining-relations", "onsager", "kmatrix", "spectra", "sp4", "all")
+SUITES = ("defining-relations", "onsager", "kmatrix", "spectra", "sp4")
 DUMP_TARGETS = ("kmatrix", "hamiltonian", "generators")
 FORMATS = ("text", "json", "csv")
 
-_SUITE_ORDER = ("defining-relations", "onsager", "kmatrix", "spectra", "sp4")
+# flags that only some subcommands define; resolve() sets the rest to None
+_OPTIONAL_FLAGS = ("suite", "target", "family", "n", "k", "kp", "trunc")
 
 # chain family -> eigenvalue family of its K matrix
 _SPECTRAL_TAG = {"A1": "tr", "D2": "k11", "B1": "k21", "BT1": "k12", "D1": "k22"}
@@ -58,37 +60,6 @@ _CONFIG_ERRORS = (BadLiteral, DegenerateEigenvalues, GenericityError,
 
 class ConfigError(ValueError):
     """Unusable flag combination; reported on stderr with exit status 2."""
-
-
-class RunConfig:
-    """One resolved invocation: subcommand plus every knob the runners read."""
-
-    __slots__ = ("subcommand", "suite", "target", "family", "n", "k", "kp",
-                 "seed", "t", "z", "eps", "mu", "trunc", "format", "output")
-
-    def __init__(self, subcommand: str, *, suite=None, target=None,
-                 family=None, n=None, k=None, kp=None, seed=0, t=None, z=None,
-                 eps=None, mu=None, trunc=10, format="text",
-                 output=None) -> None:
-        self.subcommand = subcommand
-        self.suite = suite
-        self.target = target
-        self.family = family
-        self.n = n
-        self.k = k
-        self.kp = kp
-        self.seed = seed
-        self.t = t
-        self.z = z
-        self.eps = eps
-        self.mu = mu
-        self.trunc = trunc
-        self.format = format
-        self.output = output
-
-    def __repr__(self) -> str:
-        core = self.suite or self.target or ""
-        return f"RunConfig({self.subcommand} {core}, seed={self.seed})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report to a file instead of stdout")
 
     pv = sub.add_parser("verify", help="run a check suite")
-    pv.add_argument("--suite", choices=SUITES, default="all")
+    pv.add_argument("--suite", choices=SUITES + ("all",), default="all")
     pv.add_argument("--family", default=None,
                     help="chain family: A, D2, B1, BT1 or D1")
     pv.add_argument("--n", type=int, default=None, help="number of sites")
@@ -147,41 +118,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve(args: argparse.Namespace) -> RunConfig:
-    """Combine parsed flags with the environment into a RunConfig."""
-    seed = args.seed
+def resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill in the parsed flags: the ONSK_SEED override, the canonical
+    family tag, the default format and None for flags the subcommand lacks."""
     env = os.environ.get("ONSK_SEED")
     if env is not None and env.strip():
         try:
-            seed = int(env)
+            args.seed = int(env)
         except ValueError:
             raise ConfigError(f"ONSK_SEED must be an integer, got {env!r}") from None
+    for flag in _OPTIONAL_FLAGS:
+        if not hasattr(args, flag):
+            setattr(args, flag, None)
 
-    family = getattr(args, "family", None)
-    if family is not None:
-        tag = family.upper()
+    if args.family is not None:
+        tag = args.family.upper()
         tag = "A1" if tag == "A" else tag
         if tag not in FAMILIES:
-            raise ConfigError(f"unknown family {family!r}; "
+            raise ConfigError(f"unknown family {args.family!r}; "
                               f"choose from A, D2, B1, BT1, D1")
-        family = tag
+        args.family = tag
 
-    suite = getattr(args, "suite", None)
-    fmt = args.format
-    if fmt is None:
-        spectral = args.subcommand == "spectrum" or suite == "spectra"
-        fmt = "csv" if spectral else "text"
-
-    return RunConfig(args.subcommand, suite=suite,
-                     target=getattr(args, "target", None), family=family,
-                     n=getattr(args, "n", None), k=getattr(args, "k", None),
-                     kp=getattr(args, "kp", None), seed=seed, t=args.t,
-                     z=args.z, eps=args.eps, mu=args.mu,
-                     trunc=getattr(args, "trunc", 10), format=fmt,
-                     output=args.output)
+    if args.format is None:
+        spectral = args.subcommand == "spectrum" or args.suite == "spectra"
+        args.format = "csv" if spectral else "text"
+    return args
 
 
-def resolved_params(cfg: RunConfig) -> Params:
+def resolved_params(cfg: argparse.Namespace) -> Params:
     """Seeded sample point with any explicit flag overrides applied."""
     base = sample_params(cfg.seed)
     return make_params(cfg.t if cfg.t is not None else base.t,
@@ -190,7 +154,7 @@ def resolved_params(cfg: RunConfig) -> Params:
                        cfg.mu if cfg.mu is not None else base.mu)
 
 
-def _second_point(cfg: RunConfig, params: Params) -> Scalar:
+def _second_point(cfg: argparse.Namespace, params: Params) -> Scalar:
     """The spectral point w paired with params.z in two-point checks.
 
     It is the z of the first seed after cfg.seed whose sampled z is
@@ -206,7 +170,7 @@ def _second_point(cfg: RunConfig, params: Params) -> Scalar:
             return w
 
 
-def _family(cfg: RunConfig) -> Family:
+def _family(cfg: argparse.Namespace) -> Family:
     what = cfg.suite or cfg.target or cfg.subcommand
     if cfg.family is None:
         raise ConfigError(f"--family is required for {what}")
@@ -215,7 +179,7 @@ def _family(cfg: RunConfig) -> Family:
     return Family(cfg.family, cfg.n)
 
 
-def _coideal(cfg: RunConfig, fam: Family) -> CoidealSpec:
+def _coideal(cfg: argparse.Namespace, fam: Family) -> CoidealSpec:
     if fam.tag == "A1":
         if cfg.k is not None or cfg.kp is not None:
             raise ConfigError("--k/--kp apply only to the bounded families")
@@ -230,12 +194,12 @@ def _coideal(cfg: RunConfig, fam: Family) -> CoidealSpec:
 # verify
 
 
-def _suite_defining(cfg: RunConfig, params: Params) -> Report:
+def _suite_defining(cfg: argparse.Namespace, params: Params) -> Report:
     fam = _family(cfg)
     return check_defining_relations(fam, generators(fam, params), params)
 
 
-def _suite_onsager(cfg: RunConfig, params: Params) -> Report:
+def _suite_onsager(cfg: argparse.Namespace, params: Params) -> Report:
     spec = _coideal(cfg, _family(cfg))
     rep = Report("onsager suite")
     rep.extend(check_routes_agree(spec, params))
@@ -246,7 +210,7 @@ def _suite_onsager(cfg: RunConfig, params: Params) -> Report:
     return rep
 
 
-def _suite_kmatrix(cfg: RunConfig, params: Params) -> Report:
+def _suite_kmatrix(cfg: argparse.Namespace, params: Params) -> Report:
     fam = _family(cfg)
     spec = _coideal(cfg, fam)
     rep = Report("kmatrix suite")
@@ -266,7 +230,7 @@ def _suite_kmatrix(cfg: RunConfig, params: Params) -> Report:
     return rep
 
 
-def _spectral_reports(cfg: RunConfig, params: Params, w: Scalar) -> list:
+def _spectral_reports(cfg: argparse.Namespace, params: Params, w: Scalar) -> list:
     if cfg.n is None:
         raise ConfigError("--n is required for spectral certificates")
     if cfg.family is None:
@@ -287,20 +251,23 @@ def _spectral_checks(reports) -> Report:
     return rep
 
 
-def _suite_sp4(cfg: RunConfig, params: Params) -> Report:
+def _suite_sp4(cfg: argparse.Namespace, params: Params) -> Report:
     if cfg.trunc < 10:
         raise ConfigError(f"the sp4 suite needs --trunc >= 10, got {cfg.trunc}")
     rep = Report("sp4 suite")
     rep.extend(check_lemma_identities(params, cfg.trunc))
+    # the boundary series do not depend on the label: proved once, reported after each
+    series = check_boundary_series(params, cfg.trunc)
     for r, k in ((1, 1), (1, 2), (2, 2)):
         rep.extend(check_annihilation(r, k, params, cfg.trunc))
+        rep.extend(series)
     return rep
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     start = time.perf_counter()
     params = resolved_params(cfg)
-    wanted = _SUITE_ORDER if cfg.suite == "all" else (cfg.suite,)
+    wanted = SUITES if cfg.suite == "all" else (cfg.suite,)
     rep = Report(f"verify {cfg.suite}")
     w = None
     for suite in wanted:
@@ -348,7 +315,7 @@ def _csv_field(s: str) -> str:
     return s
 
 
-def _render_checks(cfg: RunConfig, rep: Report, params: Params,
+def _render_checks(cfg: argparse.Namespace, rep: Report, params: Params,
                    elapsed_ms: int, w=None) -> str:
     if cfg.format == "json":
         doc = {"suite": cfg.suite or cfg.subcommand, "family": cfg.family,
@@ -380,7 +347,7 @@ def _render_checks(cfg: RunConfig, rep: Report, params: Params,
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -396,7 +363,7 @@ def _sorted_entries(op: Operator) -> list:
     return sorted(op.entries(), key=lambda e: (e[0], e[1]))
 
 
-def _render_dump(cfg: RunConfig, meta: dict, op: Operator) -> str:
+def _render_dump(cfg: argparse.Namespace, meta: dict, op: Operator) -> str:
     entries = _sorted_entries(op)
     if cfg.format == "json":
         doc = dict(meta)
@@ -419,7 +386,7 @@ def _dump_head(meta: dict) -> list:
     return [f"# {head}", f"# params t={p['t']} z={p['z']} eps={p['eps']} mu={p['mu']}"]
 
 
-def _render_generators(cfg: RunConfig, meta: dict, named: list) -> str:
+def _render_generators(cfg: argparse.Namespace, meta: dict, named: list) -> str:
     if cfg.format == "json":
         doc = dict(meta)
         doc["generators"] = [
@@ -442,7 +409,7 @@ def _render_generators(cfg: RunConfig, meta: dict, named: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_dump(cfg: RunConfig) -> int:
+def cmd_dump(cfg: argparse.Namespace) -> int:
     params = resolved_params(cfg)
     fam = _family(cfg)
     meta = {"target": cfg.target, "family": fam.tag, "n": fam.n,
@@ -471,7 +438,7 @@ def cmd_dump(cfg: RunConfig) -> int:
 # spectrum
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     start = time.perf_counter()
     params = resolved_params(cfg)
     w = _second_point(cfg, params)

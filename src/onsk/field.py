@@ -67,10 +67,6 @@ class Scalar:
     def conj(self) -> "Scalar":
         return _raw(self.a, -self.b, self.d)
 
-    def abs2(self) -> Fraction:
-        """|x|^2 as an exact Fraction."""
-        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
-
     def __add__(self, other):
         if type(other) is not Scalar:
             other = _coerce(other)

@@ -133,14 +133,6 @@ class Operator:
             out.set(c, r, v.conj())
         return out
 
-    def trace(self) -> Scalar:
-        s = ZERO
-        for r, cols in self.rows.items():
-            v = cols.get(r)
-            if v is not None:
-                s = s + v
-        return s
-
     def block(self, rows, cols) -> "Operator":
         """Submatrix on the given row and column indices, reindexed from 0."""
         out = Operator(len(rows), len(cols))
@@ -249,7 +241,7 @@ def rank_rows(rows) -> int:
 
 
 def rank(op: Operator) -> int:
-    return len(_reduce(op.rows.values()))
+    return rank_rows(op.rows.values())
 
 
 def inverse(op: Operator):

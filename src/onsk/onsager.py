@@ -1,9 +1,9 @@
 """Boundary coideal generators b_i, their relations, and spin-chain Hamiltonians.
 
 Two independent construction routes are provided.  The embedding route
-assembles b_i = f_i + p^w k_i^{-1} e_i + d_i k_i^{-1} from the Chevalley
-generators; the local-spin route assembles the same operators directly
-from one- and two-site Pauli terms.  Agreement of the two routes is a
+assembles b_i = f_i + p^{w_i} k_i^{-1} e_i + d_i k_i^{-1}, with w_i the
+family's pexp[i], from the Chevalley generators; the local-spin route
+assembles the same operators directly from one- and two-site Pauli terms.  Agreement of the two routes is a
 checked invariant, not an assumption.
 """
 
@@ -89,18 +89,15 @@ def embed_generators(spec: CoidealSpec, gens: GeneratorSet, params: Params) -> t
     out = []
     for i in range(fam.nprime + 1):
         if fam.tag == "A1":
-            w = 2
             d = -bulk_d if spec.variant else bulk_d
         elif i == 0:
-            w = fam.r
             d = _d_coeff(fam.r, spec.k, params)
         elif i == fam.nprime:
-            w = fam.rp
             d = _d_coeff(fam.rp, spec.kp, params)
         else:
-            w = 2
             d = bulk_d
-        b = gens.f[i] + (gens.kminus[i] @ gens.e[i]).scale(p ** w) + gens.kminus[i].scale(d)
+        b = (gens.f[i] + (gens.kminus[i] @ gens.e[i]).scale(p ** fam.pexp[i])
+             + gens.kminus[i].scale(d))
         out.append(b)
     if spec.variant:
         sx = global_flip(fam.n)

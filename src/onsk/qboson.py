@@ -79,14 +79,6 @@ class QBosonEngine:
             return NormalForm({}, nf.xarg)
         return NormalForm({k: v * c for k, v in nf.terms.items()}, nf.xarg)
 
-    def add(self, a: NormalForm, b: NormalForm) -> NormalForm:
-        if a.xarg != b.xarg:
-            raise ValueError("cannot add words with different markers")
-        terms = dict(a.terms)
-        for k, v in b.terms.items():
-            _put(terms, k, v)
-        return NormalForm(terms, a.xarg)
-
     def amap(self, j: int, i: int) -> dict:
         """Normal ordering of am^j ap^i as {(i', m', j'): coeff}."""
         key = (j, i)

@@ -56,6 +56,3 @@ class Report:
     def summary(self) -> str:
         npass = sum(1 for c in self.checks if c.ok)
         return f"{npass}/{len(self.checks)} checks passed"
-
-    def to_dict(self) -> dict:
-        return {"title": self.title, "checks": [c.to_dict() for c in self.checks]}

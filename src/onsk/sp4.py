@@ -127,20 +127,6 @@ _PI_TABLE = {
 }
 
 
-def pi_matrix(which: int, i: int, j: int, params: Params):
-    """Entry (i, j) of one of the two 4x4 letter matrices, as (coeff, word)."""
-    if which not in (1, 2):
-        raise RangeError(f"matrix label must be 1 or 2, got {which}")
-    if not (1 <= i <= 4 and 1 <= j <= 4):
-        raise RangeError(f"matrix indices must lie in 1..4, got ({i}, {j})")
-    entry = _PI_TABLE[which].get((i, j))
-    if entry is None:
-        return ZERO, ()
-    sign, power, word = entry
-    coeff = params.q ** power
-    return (coeff if sign > 0 else -coeff), word
-
-
 class TensorOp4:
     """Operator on the four-slot product space, as a sum of tensor words.
 
@@ -198,24 +184,6 @@ class TensorOp4:
                 if r > budget[i]:
                     budget[i] = r
         return tuple(budget)
-
-    def apply_basis(self, modes, params: Params, cutoff: int):
-        """Image of the basis vector |m1..m4>, as {target modes: coefficient}."""
-        slots = _slots(params)
-        out: dict = {}
-        for coeff, words in self.terms:
-            val = coeff
-            tgt = []
-            for slot, word, m in zip(slots, words, modes):
-                mode, c = slot.act(word, m, cutoff)
-                val = val * c
-                if val.is_zero():
-                    break
-                tgt.append(mode)
-            else:
-                key = tuple(tgt)
-                out[key] = out.get(key, ZERO) + val
-        return {key: val for key, val in out.items() if not val.is_zero()}
 
     def __repr__(self) -> str:
         return f"TensorOp4({len(self.terms)} terms)"
@@ -404,9 +372,8 @@ for _words, _, _monos, _rstr in _LEMMA:
 # the third slot (the raising characterization fixes that slot), which the
 # dictionary then resolves through the 1*kk*KA+*1 and 1*kk*KK*1 rows.
 _X_WORDS = ((), _KK, ("K",), ())
-_X_MONOS = ((-1, -1, ((4, 4), (4, 1))), (-1, -2, ((4, 3), (4, 2))),
-            (1, 0, ((1, 4), (1, 4))), (-1, -3, ((4, 2), (1, 3))))
-_X_STR = "-q^-1*t44*t41 - q^-2*t43*t42 + t14^2 - q^-3*t42*t13"
+_ROW_KA, _ROW_KK = (_DICT[((), _KK, ("K", w), ())] for w in ("A+", "K"))
+_X_ENTRY = (_ROW_KA[0] + _ROW_KK[0], f"{_ROW_KA[1]} + {_ROW_KK[1]}")
 
 
 def _poly(monos, params: Params):
@@ -458,12 +425,6 @@ class XiVector:
         eta = self.slots[1].boundary(k, cutoff)
         self.factors = (chi, eta, chi, eta)
 
-    def component(self, modes) -> Scalar:
-        val = ONE
-        for i in range(4):
-            val = val * self.factors[i][modes[i]]
-        return val
-
     def __repr__(self) -> str:
         return f"XiVector(r={self.r}, k={self.k}, cutoff={self.cutoff})"
 
@@ -510,7 +471,7 @@ def _derive_terms(terms, params: Params, allow_indirect: bool):
         entry = _DICT.get(words)
         if entry is None:
             if allow_indirect and words == _X_WORDS:
-                entry = (_X_MONOS, _X_STR)
+                entry = _X_ENTRY
                 indirect = True
             else:
                 raise DerivationGap(f"no dictionary entry for {_words_str(words)}")
@@ -528,7 +489,7 @@ def _kills_vector(op: TensorOp4, xi: XiVector, bound: int) -> bool:
     return _pure_sum_zero(_slot_items(op.simplified().terms, image))
 
 
-def _characterization_checks(params: Params, M: int) -> Report:
+def check_boundary_series(params: Params, M: int) -> Report:
     """Componentwise identities pinning the four boundary series.
 
     Each row's terms must kill its series on every component that no
@@ -576,8 +537,7 @@ def check_annihilation(r: int, k: int, params: Params, M: int) -> Report:
 
     Each difference operator resolves through the dictionary to a t
     polynomial T; the slot-reversed image of T must kill the product
-    boundary vector on all components with modes at most M - 3.  The
-    characterization identities for the single-slot series are appended.
+    boundary vector on all components with modes at most M - 3.
     """
     if (r, k) not in ((1, 1), (1, 2), (2, 2)):
         raise RangeError(f"boundary labels must be (1,1), (1,2) or (2,2), got ({r}, {k})")
@@ -594,5 +554,4 @@ def check_annihilation(r: int, k: int, params: Params, M: int) -> Report:
         note = "indirect entry for 1*kk*K*1; " if indirect else ""
         rep.add(f"{name} annihilates Xi({r},{k})",
                 ok, f"{note}T = {tstr}; components <= {bound}")
-    rep.extend(_characterization_checks(params, M))
     return rep

@@ -104,10 +104,6 @@ class Family:
         return f"Family({self.tag!r}, n={self.n})"
 
 
-def make_family(tag: str, n: int) -> Family:
-    return Family(tag, n)
-
-
 def local_spin(kind: str, site: int, n: int) -> Operator:
     """One-site Pauli operator acting on the given tensor slot."""
     if not 1 <= site <= n:
@@ -148,7 +144,10 @@ def global_flip(n: int) -> Operator:
 
 
 def _node_moves(fam: Family, node: int):
-    """Weight shift of e_node as ((site, delta), ...) plus its z exponent."""
+    """Weight shift of e_node as ((site, delta), ...) plus its z exponent.
+
+    k_node acts on |alpha> as p^e with e = sum of delta * (2 alpha_site - 1).
+    """
     n = fam.n
     if fam.tag == "A1":
         if node == 0:
@@ -163,24 +162,6 @@ def _node_moves(fam: Family, node: int):
             return ((n, -1),), 0
         return ((n - 1, -1), (n, -1)), 0
     return ((node, -1), (node + 1, 1)), 0
-
-
-def _node_kform(fam: Family, node: int):
-    """Exponent of p in k_node as (constant, ((site, coeff), ...))."""
-    n = fam.n
-    if fam.tag == "A1":
-        if node == 0:
-            return 0, ((1, 2), (n, -2))
-        return 0, ((node + 1, 2), (node, -2))
-    if node == 0:
-        if fam.r == 1:
-            return -1, ((1, 2),)
-        return -2, ((1, 2), (2, 2))
-    if node == n:
-        if fam.rp == 1:
-            return 1, ((n, -2),)
-        return 2, ((n - 1, -2), (n, -2))
-    return 0, ((node + 1, 2), (node, -2))
 
 
 def _apply_moves(alpha: int, moves) -> int | None:
@@ -227,11 +208,10 @@ def generators(fam: Family, params: Params) -> GeneratorSet:
             beta = _apply_moves(alpha, rmoves)
             if beta is not None:
                 f_op.set(beta, alpha, cf)
-        const, terms = _node_kform(fam, node)
         kp_op = Operator(dim, dim)
         km_op = Operator(dim, dim)
         for alpha in range(dim):
-            expo = const + sum(c * bit(alpha, s) for s, c in terms)
+            expo = sum(delta * (2 * bit(alpha, s) - 1) for s, delta in moves)
             kp_op.set(alpha, alpha, p ** expo)
             km_op.set(alpha, alpha, p ** (-expo))
         es.append(e_op)

@@ -40,9 +40,9 @@ from onsk.onsager import (
 )
 from onsk.poch import poch
 from onsk.qboson import QBosonEngine, boundary_contract, boundary_contract_oracle
-from onsk.sp4 import check_annihilation, check_lemma_identities
+from onsk.sp4 import check_annihilation, check_boundary_series, check_lemma_identities
 from onsk.spectra import spectrum_family, spectrum_suite, verify_tr_middle
-from onsk.spinrep import check_defining_relations, generators, make_family
+from onsk.spinrep import Family, check_defining_relations, generators
 
 PARAMS = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7))
 
@@ -126,7 +126,7 @@ def test_02_defining_relations_all_families():
     for prm in seeds():
         for tag, sizes in FAMILY_SIZES:
             for n in sizes:
-                fam = make_family(tag, n)
+                fam = Family(tag, n)
                 rep = check_defining_relations(fam, generators(fam, prm), prm)
                 assert rep.passed, (tag, n, rep.summary())
                 total += len(rep.checks)
@@ -135,8 +135,8 @@ def test_02_defining_relations_all_families():
 
 def test_03_coideal_relations_and_routes():
     start = time.perf_counter()
-    specs = [CoidealSpec(make_family("A1", 3))]
-    specs += [CoidealSpec(make_family(tag, 3), k, kp)
+    specs = [CoidealSpec(Family("A1", 3))]
+    specs += [CoidealSpec(Family(tag, 3), k, kp)
               for tag, k, kp in NINE_BOUNDARY]
     for spec in specs:
         rep = check_routes_agree(spec, PARAMS)
@@ -181,8 +181,8 @@ def test_04x_expected_boundary_noncommutativity():
 
 def test_05_exchange_relations_and_hamiltonians():
     start = time.perf_counter()
-    specs = [CoidealSpec(make_family("A1", 3))]
-    specs += [CoidealSpec(make_family(tag, 3), k, kp)
+    specs = [CoidealSpec(Family("A1", 3))]
+    specs += [CoidealSpec(Family(tag, 3), k, kp)
               for tag, k, kp in NINE_BOUNDARY]
     def spec_matrix(spec):
         km = kmatrix_for(spec, PARAMS)
@@ -191,11 +191,11 @@ def test_05_exchange_relations_and_hamiltonians():
     for spec in specs:
         rep = check_intertwining(spec, spec_matrix(spec), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
-    recipes = [CoidealSpec(make_family("A1", 3)),
-               CoidealSpec(make_family("D2", 2), 1, 1),
-               CoidealSpec(make_family("B1", 3), 2, 1),
-               CoidealSpec(make_family("BT1", 3), 1, 2),
-               CoidealSpec(make_family("D1", 3), 2, 2)]
+    recipes = [CoidealSpec(Family("A1", 3)),
+               CoidealSpec(Family("D2", 2), 1, 1),
+               CoidealSpec(Family("B1", 3), 2, 1),
+               CoidealSpec(Family("BT1", 3), 1, 2),
+               CoidealSpec(Family("D1", 3), 2, 2)]
     for spec in recipes:
         rep = check_kh_commute(spec, spec_matrix(spec), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
@@ -213,7 +213,7 @@ def test_06_direct_solver():
               ("BT1", 1, 2, (3, 4))]
     for tag, k, kp, sizes in unique:
         for n in sizes:
-            spec = CoidealSpec(make_family(tag, n), k, kp)
+            spec = CoidealSpec(Family(tag, n), k, kp)
             ks = solve_intertwiner(spec, PARAMS)
             kb = build_kkk(k, kp, n, PARAMS.z, PARAMS)
             assert ks.operator == kb.operator, (tag, n)
@@ -224,7 +224,7 @@ def test_06_direct_solver():
 
     space_dims = []
     for n, want in ((3, 6), (4, 7)):
-        basis = solve_intertwiner_space(CoidealSpec(make_family("A1", n)), PARAMS)
+        basis = solve_intertwiner_space(CoidealSpec(Family("A1", n)), PARAMS)
         assert len(basis) == want, (n, len(basis))
         dim = 1 << n
         rows = [flat(b, dim) for b in basis]
@@ -233,7 +233,7 @@ def test_06_direct_solver():
         assert rank_rows(rows + [built]) == want
         space_dims.append(f"A1 n={n}: {want}")
     for n in (3, 4):
-        spec = CoidealSpec(make_family("D1", n), 2, 2)
+        spec = CoidealSpec(Family("D1", n), 2, 2)
         basis = solve_intertwiner_space(spec, PARAMS)
         assert len(basis) == 2, (n, len(basis))
         dim = 1 << n
@@ -256,7 +256,7 @@ def test_06_direct_solver():
 @pytest.mark.xfail(strict=True, reason="exchange relations alone do not pin "
                    "the cyclic-family matrix; dimension-one expectation refuted")
 def test_06x_expected_solver_uniqueness_everywhere():
-    solve_intertwiner(CoidealSpec(make_family("A1", 3)), PARAMS)
+    solve_intertwiner(CoidealSpec(Family("A1", 3)), PARAMS)
 
 
 def test_07_spectral_certificates():
@@ -296,6 +296,7 @@ def test_09_boundary_vector_engine():
     rep = check_lemma_identities(PARAMS, 8)
     assert rep.passed, rep.summary()
     assert len(rep.checks) == 12
+    assert check_boundary_series(PARAMS, 10).passed
     for r, k in ((1, 1), (1, 2), (2, 2)):
         rep = check_annihilation(r, k, PARAMS, 10)
         assert rep.passed, ((r, k), rep.summary())

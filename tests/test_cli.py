@@ -10,7 +10,7 @@ from onsk.kmatrix import build_kkk, build_ktr
 from onsk.onsager import CoidealSpec, hamiltonian
 from onsk.report import Report
 from onsk.spectra import eval_lambda_k11, eval_lambda_k21
-from onsk.spinrep import make_family
+from onsk.spinrep import Family
 
 
 DATA = Path(__file__).parent / "data"
@@ -136,7 +136,7 @@ def test_dump_hamiltonian_matches_library(capsys):
     assert rc == 0
     doc = json.loads(out)
     params = sample_params(0)
-    expected = hamiltonian(CoidealSpec(make_family("D1", 3), 2, 2), params)
+    expected = hamiltonian(CoidealSpec(Family("D1", 3), 2, 2), params)
     got = {(r, c): v for r, c, v in doc["entries"]}
     assert got == {(r, c): format_scalar(v) for r, c, v in expected.entries()}
 
@@ -323,6 +323,9 @@ def test_config_errors_exit_2(capsys):
     rc, _, err = run(capsys, "verify", "--suite", "onsager", "--family", "D2",
                      "--n", "1")
     assert rc == 2 and "error:" in err
+    # no spectral certificate without sites; the message names n, not a wedge slot
+    for argv in (("spectrum", "--n", "0"), ("verify", "--suite", "spectra", "--n", "0")):
+        assert run(capsys, *argv) == (2, "", "error: need n >= 1, got 0\n")
 
 
 def test_bad_env_seed_exits_2(capsys, monkeypatch):

@@ -66,8 +66,9 @@ def test_arithmetic_matches_fraction_pairs():
 def test_conj_abs2():
     x = Scalar(3, -4, 5)
     assert x.conj() == Scalar(3, 4, 5)
-    assert x.abs2() == Fraction(9 + 16, 25)
-    assert (x * x.conj()).re == x.abs2()
+    # |x|^2 = x * conj(x) = (9 + 16)/25
+    assert x * x.conj() == Scalar(1)
+    assert (x * x).conj() == x.conj() * x.conj()
 
 
 def test_int_fraction_coercion():
@@ -90,8 +91,9 @@ def test_parse_format_roundtrip():
 def test_unit_circle_point():
     w = unit_circle_point(2, 1)
     assert w == Scalar(3, 4, 5)
-    assert w.abs2() == 1
-    assert unit_circle_point(3, 4).abs2() == 1
+    assert w * w.conj() == Scalar(1)
+    v = unit_circle_point(3, 4)
+    assert v * v.conj() == Scalar(1)
 
 
 def test_params_web():
@@ -131,7 +133,7 @@ def test_sample_params_deterministic():
     c = sample_params(12)
     assert (a.t, a.z) != (c.t, c.z)
     u = sample_params(5, unit_z=True)
-    assert u.z.abs2() == 1
+    assert u.z * u.z.conj() == Scalar(1)
     w = sample_params(5, contracting=True)
-    assert 0 < w.t.abs2() < 1
+    assert 0 < (w.t * w.t.conj()).re < 1
     assert 0 < w.z.re < 1 and w.z.im == 0

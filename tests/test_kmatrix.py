@@ -35,7 +35,7 @@ from onsk.onsager import (
 )
 from onsk.poch import poch
 from onsk.qboson import QBosonEngine, boundary_contract, boundary_contract_oracle
-from onsk.spinrep import RangeError, global_flip, make_family, popcount
+from onsk.spinrep import Family, RangeError, global_flip, popcount
 
 PARAMS = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7))
 
@@ -262,20 +262,20 @@ def test_vee_preserves_sectors():
 
 
 def nine_specs():
-    yield CoidealSpec(make_family("D2", 2), 1, 1)
-    yield CoidealSpec(make_family("D2", 2), 1, 2)
-    yield CoidealSpec(make_family("D2", 2), 2, 1)
-    yield CoidealSpec(make_family("D2", 2), 2, 2)
-    yield CoidealSpec(make_family("B1", 3), 2, 1)
-    yield CoidealSpec(make_family("B1", 3), 2, 2)
-    yield CoidealSpec(make_family("BT1", 3), 1, 2)
-    yield CoidealSpec(make_family("BT1", 3), 2, 2)
-    yield CoidealSpec(make_family("D1", 3), 2, 2)
+    yield CoidealSpec(Family("D2", 2), 1, 1)
+    yield CoidealSpec(Family("D2", 2), 1, 2)
+    yield CoidealSpec(Family("D2", 2), 2, 1)
+    yield CoidealSpec(Family("D2", 2), 2, 2)
+    yield CoidealSpec(Family("B1", 3), 2, 1)
+    yield CoidealSpec(Family("B1", 3), 2, 2)
+    yield CoidealSpec(Family("BT1", 3), 1, 2)
+    yield CoidealSpec(Family("BT1", 3), 2, 2)
+    yield CoidealSpec(Family("D1", 3), 2, 2)
 
 
 def test_intertwining_cyclic_family():
     for prm in seeds(2):
-        spec = CoidealSpec(make_family("A1", 3))
+        spec = CoidealSpec(Family("A1", 3))
         rep = check_intertwining(spec, spec_matrix(spec, prm), prm)
         assert rep.passed, rep.summary()
         names = [c.name for c in rep.checks]
@@ -290,11 +290,11 @@ def test_intertwining_all_nine():
 
 def five_recipes():
     return [
-        CoidealSpec(make_family("A1", 3)),
-        CoidealSpec(make_family("D2", 2), 1, 1),
-        CoidealSpec(make_family("B1", 3), 2, 1),
-        CoidealSpec(make_family("BT1", 3), 1, 2),
-        CoidealSpec(make_family("D1", 3), 2, 2),
+        CoidealSpec(Family("A1", 3)),
+        CoidealSpec(Family("D2", 2), 1, 1),
+        CoidealSpec(Family("B1", 3), 2, 1),
+        CoidealSpec(Family("BT1", 3), 1, 2),
+        CoidealSpec(Family("D1", 3), 2, 2),
     ]
 
 
@@ -305,15 +305,15 @@ def test_kh_commute_five_recipes():
 
 
 def test_kh_commute_needs_recipe():
-    spec = CoidealSpec(make_family("D2", 2), 2, 1)
+    spec = CoidealSpec(Family("D2", 2), 2, 1)
     with pytest.raises(SpecError):
         check_kh_commute(spec, spec_matrix(spec, PARAMS), PARAMS)
 
 
 def test_kmatrix_for_plain_matrix_of_spec():
-    spec = CoidealSpec(make_family("A1", 3))
+    spec = CoidealSpec(Family("A1", 3))
     assert kmatrix_for(spec, PARAMS).operator == build_ktr(3, PARAMS.z, PARAMS).operator
-    km = kmatrix_for(CoidealSpec(make_family("B1", 3), 2, 1), PARAMS)
+    km = kmatrix_for(CoidealSpec(Family("B1", 3), 2, 1), PARAMS)
     assert (km.kind, km.gauge, km.n, km.z) == ((2, 1), "plain", 3, PARAMS.z)
     assert km.operator == build_kkk(2, 1, 3, PARAMS.z, PARAMS).operator
 
@@ -345,7 +345,7 @@ def test_checks_refuse_other_matrices():
         check_commutativity(kz, kw, bz, build_kkk(1, 2, 2, Scalar(5, 0, 11), PARAMS))
     with pytest.raises(SpecError):
         check_commutativity(kz, build_ktr_multi((Scalar(5, 0, 11), Scalar(2)), PARAMS), bz, bw)
-    spec = CoidealSpec(make_family("D2", 2), 1, 1)
+    spec = CoidealSpec(Family("D2", 2), 1, 1)
     kt = spec_matrix(spec, PARAMS)
     for check in (check_intertwining, check_kh_commute):
         with pytest.raises(SpecError):
@@ -353,11 +353,11 @@ def test_checks_refuse_other_matrices():
         with pytest.raises(SpecError):
             check(spec, kt, PARAMS.inverted_z())
         with pytest.raises(SpecError):
-            check(CoidealSpec(make_family("D2", 2), 1, 2), kt, PARAMS)
+            check(CoidealSpec(Family("D2", 2), 1, 2), kt, PARAMS)
         with pytest.raises(SpecError):
-            check(CoidealSpec(make_family("D2", 3), 1, 1), kt, PARAMS)
+            check(CoidealSpec(Family("D2", 3), 1, 1), kt, PARAMS)
         with pytest.raises(SpecError):
-            check(CoidealSpec(make_family("A1", 3)), kt, PARAMS)
+            check(CoidealSpec(Family("A1", 3)), kt, PARAMS)
 
 
 def _bumped(km):
@@ -419,7 +419,7 @@ def test_kh_commute_negative_control(spec):
 def test_quasi_commutativity_arbitrary_coefficients():
     # K(z) H(z) = H(1/z) K(z) for any node coefficients, both kinds
     rng = random.Random(11)
-    spec = CoidealSpec(make_family("A1", 3))
+    spec = CoidealSpec(Family("A1", 3))
     kop = build_ktr(3, PARAMS.z, PARAMS).operator
     bs = onsager_generators(spec, PARAMS)
     bs_inv = onsager_generators(spec, PARAMS.inverted_z())
@@ -428,7 +428,7 @@ def test_quasi_commutativity_arbitrary_coefficients():
     hinv = hamiltonian_from(bs_inv, kappas)
     assert kop @ h == hinv @ kop
 
-    spec = CoidealSpec(make_family("D2", 2), 1, 2)
+    spec = CoidealSpec(Family("D2", 2), 1, 2)
     kop = gauge_tilde(build_kkk(1, 2, 2, PARAMS.z, PARAMS), PARAMS).operator
     bs = onsager_generators(spec, PARAMS)
     bs_inv = onsager_generators(spec, PARAMS.inverted_z())
@@ -499,7 +499,7 @@ def test_solver_matches_build_bounded_families():
              ("D2", 3, 1, 1), ("B1", 3, 2, 1), ("B1", 3, 2, 2),
              ("BT1", 3, 1, 2), ("BT1", 3, 2, 2)]
     for tag, n, k, kp in cases:
-        spec = CoidealSpec(make_family(tag, n), k, kp)
+        spec = CoidealSpec(Family(tag, n), k, kp)
         ks = solve_intertwiner(spec, PARAMS)
         kb = build_kkk(k, kp, n, PARAMS.z, PARAMS)
         assert ks.kind == (k, kp) and ks.gauge == "plain"
@@ -508,7 +508,7 @@ def test_solver_matches_build_bounded_families():
 
 def test_solver_matches_build_two_seeds():
     for prm in seeds(2):
-        spec = CoidealSpec(make_family("D2", 2), 2, 1)
+        spec = CoidealSpec(Family("D2", 2), 2, 1)
         assert solve_intertwiner(spec, prm).operator == build_kkk(2, 1, 2, prm.z, prm).operator
 
 
@@ -516,24 +516,24 @@ def test_solver_space_dimensions():
     # the exchange relations alone do not pin the cyclic-family matrix:
     # every generator preserves each weight sector, so sector scales are
     # free; with both boundaries even-shifting, the parity twin survives
-    assert len(solve_intertwiner_space(CoidealSpec(make_family("A1", 3)), PARAMS)) == 6
-    assert len(solve_intertwiner_space(CoidealSpec(make_family("A1", 4)), PARAMS)) == 7
-    assert len(solve_intertwiner_space(CoidealSpec(make_family("D1", 3), 2, 2), PARAMS)) == 2
-    assert len(solve_intertwiner_space(CoidealSpec(make_family("D2", 2), 1, 1), PARAMS)) == 1
+    assert len(solve_intertwiner_space(CoidealSpec(Family("A1", 3)), PARAMS)) == 6
+    assert len(solve_intertwiner_space(CoidealSpec(Family("A1", 4)), PARAMS)) == 7
+    assert len(solve_intertwiner_space(CoidealSpec(Family("D1", 3), 2, 2), PARAMS)) == 2
+    assert len(solve_intertwiner_space(CoidealSpec(Family("D2", 2), 1, 1), PARAMS)) == 1
 
 
 def test_solver_degenerate_raises():
     with pytest.raises(NullspaceDimensionError):
-        solve_intertwiner(CoidealSpec(make_family("A1", 3)), PARAMS)
+        solve_intertwiner(CoidealSpec(Family("A1", 3)), PARAMS)
     with pytest.raises(NullspaceDimensionError):
-        solve_intertwiner(CoidealSpec(make_family("D1", 3), 2, 2), PARAMS)
+        solve_intertwiner(CoidealSpec(Family("D1", 3), 2, 2), PARAMS)
 
 
 @pytest.mark.parametrize("which", range(4))
 def test_solver_generator_negative_control(monkeypatch, which):
     # one generator's first nonzero entry moved by 1/97, at both points:
     # the exchange relations then admit no matrix at all
-    spec = CoidealSpec(make_family("D2", 3), 1, 1)
+    spec = CoidealSpec(Family("D2", 3), 1, 1)
     real = kmatrix.onsager_generators
 
     def bumped(spec, params):
@@ -554,7 +554,7 @@ def test_solver_generator_negative_control(monkeypatch, which):
 def test_solver_rechecks_every_kernel_vector(monkeypatch):
     # a spurious kernel vector (the unit matrix at entry (0, 0)) must be
     # caught by the exact re-check against every exchange relation
-    spec = CoidealSpec(make_family("D2", 3), 1, 1)
+    spec = CoidealSpec(Family("D2", 3), 1, 1)
     real = kmatrix.kernel
     monkeypatch.setattr(kmatrix, "kernel", lambda rows, ncols: real(rows, ncols) + [{0: ONE}])
     with pytest.raises(ArithmeticError, match="solved matrix fails the exchange relations"):
@@ -565,7 +565,7 @@ def test_solver_rechecks_every_kernel_vector(monkeypatch):
                    "freedom for the cyclic family and for both-even boundaries; "
                    "dimension-one expectation refuted (see notes)")
 def test_solver_uniqueness_expected_everywhere():
-    solve_intertwiner(CoidealSpec(make_family("A1", 3)), PARAMS)
+    solve_intertwiner(CoidealSpec(Family("A1", 3)), PARAMS)
 
 
 def _flat(op, dim):
@@ -576,7 +576,7 @@ def test_solver_space_structure_both_even_boundaries():
     # the two-dimensional space is spanned by the built matrix and its
     # parity twin
     for n in (3, 4):
-        spec = CoidealSpec(make_family("D1", n), 2, 2)
+        spec = CoidealSpec(Family("D1", n), 2, 2)
         basis = solve_intertwiner_space(spec, PARAMS)
         assert len(basis) == 2
         dim = 1 << n
@@ -593,7 +593,7 @@ def test_solver_space_structure_both_even_boundaries():
 def test_solver_space_structure_cyclic():
     # six dimensions at n=3: the four weight slices of the built matrix
     # plus the two corner diagonal units
-    basis = solve_intertwiner_space(CoidealSpec(make_family("A1", 3)), PARAMS)
+    basis = solve_intertwiner_space(CoidealSpec(Family("A1", 3)), PARAMS)
     dim = 8
     kb = build_ktr(3, PARAMS.z, PARAMS).operator
     rows = [_flat(b, dim) for b in basis]
@@ -616,7 +616,7 @@ def test_solver_space_structure_cyclic():
 
 def test_solver_guard():
     with pytest.raises(RangeError):
-        solve_intertwiner(CoidealSpec(make_family("A1", 6)), PARAMS)
+        solve_intertwiner(CoidealSpec(Family("A1", 6)), PARAMS)
 
 
 def entry_letters(engine, beta, alpha, n):

@@ -40,7 +40,6 @@ def test_basic_ops():
     assert (a @ b) == mat([[2, 1], [3, 0]])
     assert a.scale(Scalar(2)) == mat([[2, 4], [0, 6]])
     assert (-a) == mat([[-1, -2], [0, -3]])
-    assert a.trace() == Scalar(4)
     assert Operator.identity(2) @ a == a
     c = mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     got = c.block([2, 0], [1, 2])

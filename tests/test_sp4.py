@@ -11,9 +11,10 @@ from onsk.sp4 import (
     DerivationGap,
     TensorOp4,
     TruncationMarginError,
+    _PI_TABLE,
+    _SLOT_LETTERS,
     XiVector,
     _boundary_ops,
-    _characterization_checks,
     _derive_terms,
     _kills_vector,
     _pure_sum_zero,
@@ -21,16 +22,43 @@ from onsk.sp4 import (
     _slot_items,
     _slots,
     check_annihilation,
+    check_boundary_series,
     check_lemma_identities,
     delta,
     delta_op,
     ops_agree,
-    pi_matrix,
 )
 from onsk.spinrep import RangeError
 
 PARAMS = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7))
 Q = PARAMS.q
+
+
+def _apply_basis(op, modes, params, cutoff):
+    """Image of the basis vector |m1..m4> under op, as {target modes: coefficient}."""
+    slots = _slots(params)
+    out: dict = {}
+    for coeff, words in op.terms:
+        val = coeff
+        tgt = []
+        for slot, word, m in zip(slots, words, modes):
+            mode, c = slot.act(word, m, cutoff)
+            val = val * c
+            if val.is_zero():
+                break
+            tgt.append(mode)
+        else:
+            key = tuple(tgt)
+            out[key] = out.get(key, ZERO) + val
+    return {key: val for key, val in out.items() if not val.is_zero()}
+
+
+def _component(xi, modes):
+    """Component |m1..m4> of the product boundary vector xi."""
+    val = ONE
+    for i in range(4):
+        val = val * xi.factors[i][modes[i]]
+    return val
 
 
 def test_letter_actions():
@@ -105,19 +133,25 @@ def test_boundary_series_match_oracle_tables():
 
 
 def test_pi_matrix_entries():
-    assert pi_matrix(1, 1, 2, PARAMS) == (ONE, ("k",))
-    assert pi_matrix(1, 2, 1, PARAMS) == (-Q, ("k",))
-    assert pi_matrix(1, 3, 4, PARAMS) == (-ONE, ("k",))
-    assert pi_matrix(1, 4, 3, PARAMS) == (Q, ("k",))
-    assert pi_matrix(1, 1, 3, PARAMS) == (ZERO, ())
-    assert pi_matrix(2, 1, 1, PARAMS) == (ONE, ())
-    assert pi_matrix(2, 3, 2, PARAMS) == (-(Q * Q), ("K",))
-    assert pi_matrix(2, 2, 3, PARAMS) == (ONE, ("K",))
-    assert pi_matrix(2, 4, 1, PARAMS) == (ZERO, ())
-    with pytest.raises(RangeError):
-        pi_matrix(3, 1, 1, PARAMS)
-    with pytest.raises(RangeError):
-        pi_matrix(1, 0, 2, PARAMS)
+    # the two 4x4 letter matrices that _delta_t reads: entry (i, j) is
+    # sign * q^power times a word, and a missing entry is zero
+    assert _PI_TABLE[1][(1, 2)] == (1, 0, ("k",))
+    assert _PI_TABLE[1][(2, 1)] == (-1, 1, ("k",))
+    assert _PI_TABLE[1][(3, 4)] == (-1, 0, ("k",))
+    assert _PI_TABLE[1][(4, 3)] == (1, 1, ("k",))
+    assert (1, 3) not in _PI_TABLE[1]
+    assert _PI_TABLE[2][(1, 1)] == (1, 0, ())
+    assert _PI_TABLE[2][(3, 2)] == (-1, 2, ("K",))
+    assert _PI_TABLE[2][(2, 3)] == (1, 0, ("K",))
+    assert (4, 1) not in _PI_TABLE[2]
+    # matrix 1 acts in the F_q slots, matrix 2 in the F_{q^2} slots, and
+    # _delta_t has the powers q^0, q^1 and q^2 at hand
+    assert set(_PI_TABLE) == {1, 2}
+    for which, letters in ((1, _SLOT_LETTERS[1]), (2, _SLOT_LETTERS[0])):
+        for (i, j), (sign, power, word) in _PI_TABLE[which].items():
+            assert 1 <= i <= 4 and 1 <= j <= 4
+            assert sign in (1, -1) and power in (0, 1, 2)
+            assert set(word) <= set(letters)
 
 
 def test_tensor_word_validation_and_algebra():
@@ -134,10 +168,10 @@ def test_tensor_word_validation_and_algebra():
 
 def test_apply_basis_values():
     op = TensorOp4.word(((), ("k", "k"), ("K", "K"), ()))
-    assert op.apply_basis((1, 1, 1, 1), PARAMS, 8) == {(1, 1, 1, 1): Q ** 6}
+    assert _apply_basis(op, (1, 1, 1, 1), PARAMS, 8) == {(1, 1, 1, 1): Q ** 6}
     rhs = delta([(ONE, ((1, 4), (1, 4))), (-(Q ** -3), ((4, 2), (1, 3)))], PARAMS)
     for modes in ((1, 1, 1, 1), (0, 2, 1, 3), (2, 0, 3, 1)):
-        assert op.apply_basis(modes, PARAMS, 8) == rhs.apply_basis(modes, PARAMS, 8)
+        assert _apply_basis(op, modes, PARAMS, 8) == _apply_basis(rhs, modes, PARAMS, 8)
 
 
 def test_delta_multiplicative_on_box():
@@ -182,8 +216,8 @@ def test_xi_vector():
     xi = XiVector(2, 2, 6, PARAMS)
     chi2 = xi.slots[0].boundary(2, 6)
     eta2 = xi.slots[1].boundary(2, 6)
-    assert xi.component((2, 4, 0, 6)) == chi2[2] * eta2[4] * chi2[0] * eta2[6]
-    assert xi.component((1, 2, 2, 2)) == ZERO
+    assert _component(xi, (2, 4, 0, 6)) == chi2[2] * eta2[4] * chi2[0] * eta2[6]
+    assert _component(xi, (1, 2, 2, 2)) == ZERO
     with pytest.raises(RangeError):
         XiVector(2, 1, 6, PARAMS)
 
@@ -192,12 +226,13 @@ def test_annihilation_reports():
     for (r, k) in ((1, 1), (1, 2), (2, 2)):
         rep = check_annihilation(r, k, PARAMS, 10)
         assert rep.passed
-        boundary = [c for c in rep.checks if f"Xi({r},{k})" in c.name]
-        assert len(boundary) == 4
-        assert all("T = " in c.detail for c in boundary)
-        single = [c for c in rep.checks if "annihilates eta" in c.name
-                  or "annihilates chi" in c.name]
-        assert len(single) == 8
+        assert len(rep.checks) == 4
+        assert all(f"Xi({r},{k})" in c.name and "T = " in c.detail for c in rep.checks)
+    rep = check_boundary_series(PARAMS, 10)
+    assert rep.passed
+    single = [c for c in rep.checks if "annihilates eta" in c.name
+              or "annihilates chi" in c.name]
+    assert len(single) == 8
     rep = check_annihilation(1, 1, PARAMS, 10)
     slot2 = next(c for c in rep.checks if c.name.startswith("1*k(a+ - a- + (1+q)*k)"))
     assert "indirect entry" in slot2.detail
@@ -217,7 +252,7 @@ def test_characterization_negative_control(monkeypatch):
     # one component of one boundary series moved by 1/97: exactly the
     # characterization rows of that series fail, the matches rows included
     fields = {"eta1": ("k", 1), "eta2": ("k", 2), "chi1": ("K", 1), "chi2": ("K", 2)}
-    names = [c.name for c in _characterization_checks(PARAMS, 10).checks]
+    names = [c.name for c in check_boundary_series(PARAMS, 10).checks]
     assert len(names) == 10
     boundary = _Slot.boundary
     for series, (diag, kind) in fields.items():
@@ -228,17 +263,18 @@ def test_characterization_negative_control(monkeypatch):
             return comps[:2] + (comps[2] + Scalar(1, 0, 97),) + comps[3:]
 
         monkeypatch.setattr(_Slot, "boundary", bumped)
-        rep = check_annihilation(1, 1, PARAMS, 10)
-        failed = {c.name for c in rep.checks if not c.ok and c.name in names}
+        rep = check_boundary_series(PARAMS, 10)
+        failed = {c.name for c in rep.checks if not c.ok}
         assert failed == {n for n in names if n.endswith(series)}, series
         assert any(n.startswith("a- on") for n in failed) == series.startswith("eta")
     monkeypatch.setattr(_Slot, "boundary", boundary)
-    assert check_annihilation(1, 1, PARAMS, 10).passed
+    assert check_boundary_series(PARAMS, 10).passed
 
 
 def test_complex_point():
     prm = make_params(parse_scalar("1/2+1/3*i"), parse_scalar("2/7+1/5*i"))
     assert check_lemma_identities(prm, 10).passed
+    assert check_boundary_series(prm, 10).passed
     for r, k in ((1, 1), (1, 2), (2, 2)):
         assert check_annihilation(r, k, prm, 10).passed
 
@@ -255,10 +291,10 @@ def test_annihilation_component_oracle():
         for m2 in range(0, 6, 2):
             for m3 in range(0, 6, 2):
                 for m4 in range(0, 6, 2):
-                    comp = xi.component((m1, m2, m3, m4))
+                    comp = _component(xi, (m1, m2, m3, m4))
                     if comp.is_zero():
                         continue
-                    for key, val in dop.apply_basis((m1, m2, m3, m4), PARAMS, 10).items():
+                    for key, val in _apply_basis(dop, (m1, m2, m3, m4), PARAMS, 10).items():
                         total[key] = total.get(key, ZERO) + val * comp
     low = {k: v for k, v in total.items() if all(m <= 3 for m in k)}
     assert len(low) >= 40

@@ -5,12 +5,12 @@ from onsk.linalg import Operator
 from onsk.onsager import CoidealSpec, onsager_generators
 from onsk.spinrep import (
     FAMILIES,
+    Family,
     RangeError,
     check_defining_relations,
     generators,
     global_flip,
     local_spin,
-    make_family,
     serre_residual,
 )
 
@@ -18,32 +18,32 @@ ONE = Scalar(1)
 
 
 def test_family_aliases_and_bounds():
-    assert make_family("a", 3).tag == "A1"
-    assert make_family("bt1", 4).tag == "BT1"
-    assert make_family("D2", 2).n == 2
+    assert Family("a", 3).tag == "A1"
+    assert Family("bt1", 4).tag == "BT1"
+    assert Family("D2", 2).n == 2
     with pytest.raises(RangeError):
-        make_family("A1", 2)
+        Family("A1", 2)
     with pytest.raises(RangeError):
-        make_family("D2", 1)
+        Family("D2", 1)
     with pytest.raises(RangeError):
-        make_family("B1", 2)
+        Family("B1", 2)
     with pytest.raises(RangeError):
-        make_family("E8", 3)
+        Family("E8", 3)
 
 
 def test_cartan_a1():
-    assert make_family("A1", 3).cartan == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
-    c4 = make_family("A1", 4).cartan
+    assert Family("A1", 3).cartan == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    c4 = Family("A1", 4).cartan
     assert c4[0] == (2, -1, 0, -1)
     assert c4[2] == (0, -1, 2, -1)
 
 
 def test_cartan_d2():
-    assert make_family("D2", 2).cartan == ((2, -2, 0), (-1, 2, -1), (0, -2, 2))
+    assert Family("D2", 2).cartan == ((2, -2, 0), (-1, 2, -1), (0, -2, 2))
 
 
 def test_cartan_b1():
-    assert make_family("B1", 3).cartan == (
+    assert Family("B1", 3).cartan == (
         (2, 0, -1, 0),
         (0, 2, -1, 0),
         (-1, -1, 2, -1),
@@ -52,7 +52,7 @@ def test_cartan_b1():
 
 
 def test_cartan_bt1():
-    assert make_family("BT1", 3).cartan == (
+    assert Family("BT1", 3).cartan == (
         (2, -2, 0, 0),
         (-1, 2, -1, -1),
         (0, -1, 2, 0),
@@ -62,13 +62,13 @@ def test_cartan_bt1():
 
 def test_cartan_d1_small_cycle():
     # n = 3 closes into a 4-cycle; n = 4 has a degree-4 middle node
-    assert make_family("D1", 3).cartan == (
+    assert Family("D1", 3).cartan == (
         (2, 0, -1, -1),
         (0, 2, -1, -1),
         (-1, -1, 2, 0),
         (-1, -1, 0, 2),
     )
-    c = make_family("D1", 4).cartan
+    c = Family("D1", 4).cartan
     assert c[2] == (-1, -1, 2, -1, -1)
     assert sum(1 for x in c[2] if x == -1) == 4
 
@@ -76,7 +76,7 @@ def test_cartan_d1_small_cycle():
 def test_cartan_symmetrizable():
     # pexp symmetrizes the Cartan matrix: pexp[i] a[i][j] = pexp[j] a[j][i]
     for tag, n in (("A1", 4), ("D2", 3), ("B1", 3), ("BT1", 3), ("D1", 4)):
-        fam = make_family(tag, n)
+        fam = Family(tag, n)
         m = fam.nprime + 1
         for i in range(m):
             for j in range(m):
@@ -84,11 +84,11 @@ def test_cartan_symmetrizable():
 
 
 def test_pexp():
-    assert make_family("A1", 3).pexp == (2, 2, 2)
-    assert make_family("D2", 2).pexp == (1, 2, 1)
-    assert make_family("B1", 3).pexp == (2, 2, 2, 1)
-    assert make_family("BT1", 3).pexp == (1, 2, 2, 2)
-    assert make_family("D1", 3).pexp == (2, 2, 2, 2)
+    assert Family("A1", 3).pexp == (2, 2, 2)
+    assert Family("D2", 2).pexp == (1, 2, 1)
+    assert Family("B1", 3).pexp == (2, 2, 2, 1)
+    assert Family("BT1", 3).pexp == (1, 2, 2, 2)
+    assert Family("D1", 3).pexp == (2, 2, 2, 2)
 
 
 def test_local_spin_actions():
@@ -129,23 +129,23 @@ def test_generator_examples():
     params = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7))
     z, p = params.z, params.p
 
-    a1 = generators(make_family("A1", 3), params)
+    a1 = generators(Family("A1", 3), params)
     assert a1.e[1].apply({1: ONE}) == {2: ONE}          # e1 |100> = |010>
     assert a1.e[0].apply({4: ONE}) == {1: z}            # e0 |001> = z |100>
     assert a1.kplus[0].get(1, 1) == p ** 2              # k0 on |100>
     assert a1.kplus[2].get(4, 4) == p ** 2              # k2 on |001>
 
-    d2 = generators(make_family("D2", 2), params)
+    d2 = generators(Family("D2", 2), params)
     assert d2.kplus[0].get(2, 2) == p ** -1             # k0 |01> = p^{-1} |01>
     assert d2.e[0].apply({0: ONE}) == {1: z}            # e0 |00> = z |10>
     assert d2.e[2].apply({2: ONE}) == {0: ONE}          # e2 |01> = |00>
     assert d2.f[2].apply({0: ONE}) == {2: ONE}
 
-    b1 = generators(make_family("B1", 3), params)
+    b1 = generators(Family("B1", 3), params)
     assert b1.e[0].apply({0: ONE}) == {3: z ** 2}       # e0 |000> = z^2 |110>
     assert b1.kplus[0].get(0, 0) == p ** -2
 
-    d1 = generators(make_family("D1", 3), params)
+    d1 = generators(Family("D1", 3), params)
     assert d1.f[3].apply({0: ONE}) == {6: ONE}          # f3 |000> = |011>
     assert d1.e[3].apply({6: ONE}) == {0: ONE}
     assert d1.kplus[3].get(0, 0) == p ** 2
@@ -154,14 +154,14 @@ def test_generator_examples():
 def test_k_inverses_and_f_transpose():
     params = sample_params(3)
     for tag, n in (("A1", 3), ("D2", 2), ("BT1", 3)):
-        fam = make_family(tag, n)
+        fam = Family(tag, n)
         gens = generators(fam, params)
         dim = 1 << n
         eye = Operator.identity(dim)
         for node in range(fam.nprime + 1):
             assert gens.kplus[node] @ gens.kminus[node] == eye
     # f is the transpose of e up to the spectral weight
-    a1 = generators(make_family("A1", 3), params)
+    a1 = generators(Family("A1", 3), params)
     z = params.z
     assert a1.f[0] == a1.e[0].transpose().scale(z ** -2)
     assert a1.f[1] == a1.e[1].transpose()
@@ -170,7 +170,7 @@ def test_k_inverses_and_f_transpose():
 def test_defining_relations_all_families():
     for tag in FAMILIES:
         n = 2 if tag == "D2" else 3
-        fam = make_family(tag, n)
+        fam = Family(tag, n)
         for seed in (0, 1):
             params = sample_params(seed)
             rep = check_defining_relations(fam, generators(fam, params), params)
@@ -178,7 +178,7 @@ def test_defining_relations_all_families():
 
 
 def test_defining_relations_negative_control():
-    fam = make_family("A1", 3)
+    fam = Family("A1", 3)
     params = sample_params(0)
     gens = generators(fam, params)
     broken = list(gens.e)
@@ -194,7 +194,7 @@ def test_defining_relations_negative_control():
 def test_serre_residual_every_entry_and_negative_control():
     # D2 n=2 has all three off-diagonal Cartan entries:
     # a[0][2] = 0, a[1][0] = -1, a[0][1] = -2
-    fam = make_family("D2", 2)
+    fam = Family("D2", 2)
     params = sample_params(0)
     p = params.p
     gens = generators(fam, params)
