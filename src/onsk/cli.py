@@ -10,7 +10,8 @@ w, the z of the first later seed that is neither z nor 1/z; JSON output
 names w.  Exit status is 0 when every check passes, 1 when any check fails
 (the first failing identity is named on stderr) and 2 for configuration
 errors, among them a spectral point at which two closed-form eigenvalues
-of one certificate coincide (stderr names the point).  The
+of one certificate coincide (stderr names the point) and a verify flag
+that no selected suite reads (stderr names the flag).  The
 environment variable ONSK_SEED overrides --seed.  Parameter literals are
 exact rationals, "3/5" or "1/2+2/3*i".  Runs with the same seed and flags
 produce byte-identical reports apart from the elapsed_ms field of JSON
@@ -49,6 +50,15 @@ FORMATS = ("text", "json", "csv")
 
 # flags that only some subcommands define; resolve() sets the rest to None
 _OPTIONAL_FLAGS = ("suite", "target", "family", "n", "k", "kp", "trunc")
+
+# the optional verify flags each suite reads; cmd_verify refuses the others
+_SUITE_FLAGS = {
+    "defining-relations": ("family", "n"),
+    "onsager": ("family", "n", "k", "kp"),
+    "kmatrix": ("family", "n", "k", "kp"),
+    "spectra": ("family", "n"),
+    "sp4": ("trunc",),
+}
 
 # chain family -> eigenvalue family of its K matrix
 _SPECTRAL_TAG = {"A1": "tr", "D2": "k11", "B1": "k21", "BT1": "k12", "D1": "k22"}
@@ -95,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="left boundary label (bounded families only)")
     pv.add_argument("--kp", type=int, default=None,
                     help="right boundary label (bounded families only)")
-    pv.add_argument("--trunc", type=int, default=10, metavar="M",
-                    help="Fock-space cutoff for the sp4 suite (>= 10)")
+    pv.add_argument("--trunc", type=int, default=None, metavar="M",
+                    help="Fock-space cutoff for the sp4 suite (>= 10, default 10)")
     add_common(pv)
 
     pd = sub.add_parser("dump", help="print a constructed object")
@@ -252,22 +262,27 @@ def _spectral_checks(reports) -> Report:
 
 
 def _suite_sp4(cfg: argparse.Namespace, params: Params) -> Report:
-    if cfg.trunc < 10:
-        raise ConfigError(f"the sp4 suite needs --trunc >= 10, got {cfg.trunc}")
+    trunc = 10 if cfg.trunc is None else cfg.trunc
+    if trunc < 10:
+        raise ConfigError(f"the sp4 suite needs --trunc >= 10, got {trunc}")
     rep = Report("sp4 suite")
-    rep.extend(check_lemma_identities(params, cfg.trunc))
+    rep.extend(check_lemma_identities(params, trunc))
     # the boundary series do not depend on the label: proved once, reported after each
-    series = check_boundary_series(params, cfg.trunc)
+    series = check_boundary_series(params, trunc)
     for r, k in ((1, 1), (1, 2), (2, 2)):
-        rep.extend(check_annihilation(r, k, params, cfg.trunc))
+        rep.extend(check_annihilation(r, k, params, trunc))
         rep.extend(series)
     return rep
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     start = time.perf_counter()
-    params = resolved_params(cfg)
     wanted = SUITES if cfg.suite == "all" else (cfg.suite,)
+    read = {flag for suite in wanted for flag in _SUITE_FLAGS[suite]}
+    for flag in ("family", "n", "k", "kp", "trunc"):
+        if getattr(cfg, flag) is not None and flag not in read:
+            raise ConfigError(f"--{flag} is not read by the {cfg.suite} suite")
+    params = resolved_params(cfg)
     rep = Report(f"verify {cfg.suite}")
     w = None
     for suite in wanted:

@@ -1,7 +1,11 @@
 """Sparse exact linear algebra over the Gaussian rationals.
 
 Operators are dict-of-dicts over Scalar entries, and a row is a sparse
-{col: Scalar} dict with no stored zeros.  One private sparse echelon
+{col: Scalar} dict with no stored zeros.  A product (`@`, `apply`) writes
+each row of the right operand once as integer numerators over the lcm of
+its denominators, sums each output row in plain integers over one common
+denominator, and reduces each output entry once, at the end; an entry
+that cancels to zero is not stored.  One private sparse echelon
 serves every elimination: callers pass rows and get a kernel, a rank,
 pivot columns or an inverse, never the echelon form itself.  It divides
 exactly, so ranks and kernels carry no thresholds.
@@ -9,7 +13,9 @@ exactly, so ranks and kernels carry no thresholds.
 
 from __future__ import annotations
 
-from .field import ONE, ZERO, Scalar
+from math import lcm
+
+from .field import ONE, ZERO, Scalar, _reduced
 
 
 class Operator:
@@ -93,32 +99,22 @@ class Operator:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         out = Operator(self.nrows, other.ncols)
-        orows = other.rows
+        right = {k: _integer_row(row) for k, row in other.rows.items()}
         for r, cols in self.rows.items():
-            acc: dict = {}
-            for k, v in cols.items():
-                krow = orows.get(k)
-                if not krow:
-                    continue
-                for c, w in krow.items():
-                    prev = acc.get(c)
-                    nxt = v * w if prev is None else prev + v * w
-                    acc[c] = nxt
-            acc = {c: val for c, val in acc.items() if not val.is_zero()}
+            acc = _row_product(cols, right)
             if acc:
                 out.rows[r] = acc
         return out
 
     def apply(self, vec: dict) -> dict:
+        """self @ vec for a sparse vector {col: Scalar}, as a sparse vector."""
+        # the vector is a one-column operand: its row k is the entry vec[k]
+        right = {k: (x.d, ((0, x.a, x.b),)) for k, x in vec.items()}
         out: dict = {}
         for r, cols in self.rows.items():
-            s = ZERO
-            for c, v in cols.items():
-                x = vec.get(c)
-                if x is not None:
-                    s = s + v * x
-            if not s.is_zero():
-                out[r] = s
+            acc = _row_product(cols, right)
+            if acc:
+                out[r] = acc[0]
         return out
 
     def transpose(self) -> "Operator":
@@ -142,6 +138,49 @@ class Operator:
             if row:
                 out.rows[i] = row
         return out
+
+
+def _integer_row(row: dict) -> tuple:
+    """A sparse row as (E, [(col, A, B), ...]), entry col = (A + B*i)/E.
+
+    E is the lcm of the row's denominators.
+    """
+    e = lcm(*(v.d for v in row.values()))
+    out = []
+    for c, v in row.items():
+        f = e // v.d
+        out.append((c, v.a * f, v.b * f))
+    return e, out
+
+
+def _row_product(cols: dict, right: dict) -> dict:
+    """The sparse row sum_k cols[k] * right[k], right in _integer_row form.
+
+    Every term is brought to the row's common denominator L, the lcm of
+    cols[k].d * E_k, and summed as integers; each entry is reduced once,
+    at the end, and an entry that cancels to zero is not stored.
+    """
+    terms = []
+    den = 1
+    for k, v in cols.items():
+        krow = right.get(k)
+        if krow is None:
+            continue
+        e = v.d * krow[0]
+        den = lcm(den, e)
+        terms.append((v, e, krow[1]))
+    acc: dict = {}
+    for v, e, krow in terms:
+        f = den // e
+        p, s = v.a * f, v.b * f
+        for c, a, b in krow:
+            x = acc.get(c)
+            if x is None:
+                acc[c] = [p * a - s * b, p * b + s * a]
+            else:
+                x[0] += p * a - s * b
+                x[1] += p * b + s * a
+    return {c: _reduced(x, y, den) for c, (x, y) in acc.items() if x or y}
 
 
 def commutator(a: Operator, b: Operator) -> Operator:

@@ -328,6 +328,30 @@ def test_config_errors_exit_2(capsys):
         assert run(capsys, *argv) == (2, "", "error: need n >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--suite", "sp4", "--family", "D2", "--n", "-5", "--k", "2"), "--family"),
+    (("--suite", "sp4", "--n", "-5"), "--n"),
+    (("--suite", "defining-relations", "--family", "A", "--n", "3", "--k", "1",
+      "--trunc", "3"), "--k"),
+    (("--suite", "defining-relations", "--family", "D2", "--n", "2", "--kp", "1"), "--kp"),
+    (("--suite", "defining-relations", "--family", "D2", "--n", "2", "--trunc", "12"),
+     "--trunc"),
+    (("--suite", "kmatrix", "--family", "D2", "--n", "2", "--trunc", "10"), "--trunc"),
+    (("--suite", "spectra", "--n", "2", "--k", "1"), "--k"),
+])
+def test_verify_refuses_flags_no_suite_reads(capsys, argv, flag):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} is not read by the {argv[1]} suite\n"
+
+
+def test_verify_all_keeps_every_flag(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "all", "--family", "D2", "--n", "2",
+                       "--k", "1", "--kp", "1", "--trunc", "10")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "verify all family=D2 n=2 seed=0"
+
+
 def test_bad_env_seed_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("ONSK_SEED", "abc")
     rc, _, err = run(capsys, "verify", "--suite", "sp4")

@@ -1,10 +1,12 @@
 import ast
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from onsk.field import Scalar
+from onsk.field import Scalar, make_params
+from onsk.kmatrix import KMatrix, build_kkk, build_ktr, check_commutativity
 from onsk.linalg import (
     Operator,
     _echelon_insert,
@@ -92,6 +94,141 @@ def test_commutator():
     got = commutator(sz, sx)
     assert got == mat([[0, -2], [2, 0]])
     assert commutator(sx, sx).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# products over integer numerators against the Scalar-by-Scalar reference
+
+
+def _reference_matmul(a, b):
+    """Rows of a @ b summed Scalar by Scalar, one mul and one add per term."""
+    out = {}
+    for r, cols in a.rows.items():
+        acc = {}
+        for k, v in cols.items():
+            for c, w in b.rows.get(k, {}).items():
+                acc[c] = acc[c] + v * w if c in acc else v * w
+        acc = {c: x for c, x in acc.items() if not x.is_zero()}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _triples(rows):
+    return {r: {c: (x.a, x.b, x.d) for c, x in row.items()} for r, row in rows.items()}
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def _complex(rng):
+    """A nonzero Gaussian rational over a product of up to three random primes."""
+    while True:
+        d = 1
+        for p in rng.sample(PRIMES, rng.randint(0, 3)):
+            d *= p ** rng.randint(1, 2)
+        x = Scalar(rng.randint(-50, 50), rng.randint(-50, 50), d)
+        if not x.is_zero():
+            return x
+
+
+def _sparse(rng, nrows, ncols, empty_rows, empty_cols):
+    rows = []
+    for r in range(nrows):
+        row = {}
+        if r not in empty_rows:
+            for c in range(ncols):
+                if c not in empty_cols and rng.random() < 0.6:
+                    row[c] = _complex(rng)
+        rows.append(row)
+    return Operator.from_rows(rows, ncols)
+
+
+def _cancelling_pair(rng):
+    """(a, b) with planted exact cancellations in a @ b.
+
+    Row 1 of b is x times row 0, so a row of a that weighs them y and
+    -y/x cancels their contributions: a's row 0 sums to zero outright, and
+    a's row 1 keeps only the columns of b's row 2.  Row m-1 and column
+    l-1 of a, row l-2 and column p-1 of b are empty.
+    """
+    m, l, p = rng.randint(4, 8), rng.randint(5, 8), rng.randint(4, 8)
+    a = _sparse(rng, m, l, {m - 1}, {l - 1})
+    b = _sparse(rng, l, p, {l - 2}, {p - 1})
+    x, y = _complex(rng), _complex(rng)
+    b.rows[0] = {c: _complex(rng) for c in range(p - 1)}
+    b.rows[1] = {c: x * v for c, v in b.rows[0].items()}
+    b.rows[2] = {c: _complex(rng) for c in range(0, p - 1, 2)}
+    a.rows[0] = {0: y, 1: -y / x}
+    a.rows[1] = {0: y, 1: -y / x, 2: _complex(rng)}
+    return a, b
+
+
+def _assert_canonical(rows):
+    for row in rows.values():
+        assert row
+        for x in row.values():
+            assert not x.is_zero()
+            assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matmul_matches_scalar_reference(seed):
+    rng = random.Random(f"matmul:{seed}")
+    a, b = _cancelling_pair(rng)
+    got = a @ b
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    want = _reference_matmul(a, b)
+    assert _triples(got.rows) == _triples(want)
+    assert list(got.rows) == list(want)
+    assert all(list(got.rows[r]) == list(want[r]) for r in want)
+    _assert_canonical(got.rows)
+    # the planted cancellations happened and left nothing stored
+    assert 0 not in got.rows
+    assert set(got.rows[1]) == set(b.rows[2])
+    assert a.nrows - 1 not in got.rows
+    assert all(b.ncols - 1 not in row for row in got.rows.values())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_apply_matches_scalar_reference(seed):
+    rng = random.Random(f"apply:{seed}")
+    a, b = _cancelling_pair(rng)
+    # every column of b, as a vector and as a one-column operand
+    for col in range(b.ncols):
+        vec = {k: row[col] for k, row in b.rows.items() if col in row}
+        column = Operator.from_rows([{0: vec[k]} if k in vec else {}
+                                     for k in range(b.nrows)], 1)
+        got = {r: {0: x} for r, x in a.apply(vec).items()}
+        want = _reference_matmul(a, column)
+        assert _triples(got) == _triples(want)
+        assert list(got) == list(want)
+        _assert_canonical(got)
+        # row 0 of a weighs entries 0 and 1 of the vector so that they cancel
+        assert 0 not in got
+    assert a.apply({}) == {}
+
+
+def test_product_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        Operator(2, 3) @ Operator(2, 2)
+    with pytest.raises(ValueError):
+        mat([[1, 2]]) @ mat([[1, 2]])
+
+
+def test_bumped_boundary_k_fails_commutativity():
+    # the dense K_(1,1)(z) K_(1,1)(w) products must see one entry moved by 1/97
+    params = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7))
+    z, w, n = params.z, Scalar(5, 0, 11), 3
+    inputs = (build_ktr(n, z, params), build_ktr(n, w, params),
+              build_kkk(1, 1, n, z, params), build_kkk(1, 1, n, w, params))
+    assert check_commutativity(*inputs).passed
+    bw = inputs[3]
+    r, c = max((r, c) for r, c, _ in bw.operator.entries())
+    op = bw.operator.copy()
+    op.add_to(r, c, Scalar(1, 0, 97))
+    failed = check_commutativity(*inputs[:3], KMatrix(op, bw.kind, bw.gauge, bw.z, n))
+    assert [x.name for x in failed.failures()] == ["boundary kind commutes"]
 
 
 ROWS = [
