@@ -211,10 +211,10 @@ def _suite_defining(cfg: argparse.Namespace, params: Params) -> Report:
 
 def _suite_onsager(cfg: argparse.Namespace, params: Params) -> Report:
     spec = _coideal(cfg, _family(cfg))
+    bs = onsager_generators(spec, params)
     rep = Report("onsager suite")
-    rep.extend(check_routes_agree(spec, params))
-    rep.extend(check_onsager_relations(onsager_generators(spec, params),
-                                       spec.fam.cartan, params))
+    rep.extend(check_routes_agree(spec, bs, params))
+    rep.extend(check_onsager_relations(bs, spec.fam.cartan, params))
     if spec.fam.tag == "A1":
         rep.extend(check_tl_relations(spec.fam.n, params))
     return rep

@@ -12,8 +12,8 @@ from __future__ import annotations
 from .field import Params, Scalar
 from .linalg import Operator, commutator, first_entry
 from .report import Report
-from .spinrep import (Family, GeneratorSet, RangeError, generators, global_flip, local_spin,
-                      serre_residual)
+from .spinrep import (Family, RangeError, add_cartan_relations, generators, global_flip,
+                      local_spin, serre_residual)
 
 ONE = Scalar(1, 0, 1)
 TWO = Scalar(2, 0, 1)
@@ -77,13 +77,9 @@ def _d_coeff(r: int, k: int, params: Params) -> Scalar:
 
 
 def onsager_generators(spec: CoidealSpec, params: Params) -> tuple:
-    """Embedding route: b_i built from a GeneratorSet."""
-    gens = generators(spec.fam, params)
-    return embed_generators(spec, gens, params)
-
-
-def embed_generators(spec: CoidealSpec, gens: GeneratorSet, params: Params) -> tuple:
+    """Embedding route: b_i built from the family's Chevalley generators."""
     fam = spec.fam
+    gens = generators(fam, params)
     p = params.p
     bulk_d = (params.q + params.q ** -1) ** -1
     out = []
@@ -201,11 +197,10 @@ def pauli_generators(spec: CoidealSpec, params: Params) -> tuple:
     return tuple(out)
 
 
-def check_routes_agree(spec: CoidealSpec, params: Params) -> Report:
+def check_routes_agree(spec: CoidealSpec, bs, params: Params) -> Report:
+    """Compare the embedding-route generators bs with the local-spin route."""
     rep = Report(f"construction routes {spec!r}")
-    route_e = onsager_generators(spec, params)
-    route_p = pauli_generators(spec, params)
-    for i, (x, y) in enumerate(zip(route_e, route_p)):
+    for i, (x, y) in enumerate(zip(bs, pauli_generators(spec, params))):
         w = first_entry(x - y)
         if w is None:
             rep.add(f"b{i} embedding vs local-spin", True)
@@ -215,23 +210,10 @@ def check_routes_agree(spec: CoidealSpec, params: Params) -> Report:
     return rep
 
 
-_COIDEAL_NAMES = {0: "commute", -1: "cubic", -2: "quartic"}
-
-
 def check_onsager_relations(bs, cartan, params: Params) -> Report:
     """Verify the deformed commutation relations dictated by the Cartan matrix."""
     rep = Report("coideal generator relations")
-    m = len(bs)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            aij = cartan[i][j]
-            diff = serre_residual(bs[i], bs[j], aij, params.p, inhomogeneous=True)
-            if diff is None:
-                rep.add(f"b{i} b{j}", False, f"unsupported cartan entry {aij}")
-            else:
-                rep.add_zero(f"b{i} b{j} {_COIDEAL_NAMES[aij]}", diff)
+    add_cartan_relations(rep, "b", bs, cartan, params.p, True)
     return rep
 
 

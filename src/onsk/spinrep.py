@@ -8,7 +8,7 @@ are permutation-like and stored sparsely.
 
 from __future__ import annotations
 
-from .field import ONE, Params, Scalar
+from .field import Params, Scalar
 from .linalg import Operator, commutator
 from .report import Report
 
@@ -222,33 +222,49 @@ def generators(fam: Family, params: Params) -> GeneratorSet:
 
 
 def serre_residual(xi: Operator, xj: Operator, aij: int, p: Scalar,
-                   inhomogeneous: bool = False) -> Operator | None:
+                   inhomogeneous: bool = False) -> Operator:
     """lhs - rhs of the relation between xi and xj for Cartan entry aij.
 
-    aij = 0 gives the commutator, -1 the cubic and -2 the quartic q-Serre
-    polynomial in p.  With inhomogeneous=True the lower-order terms of the
-    coideal (deformed Dolan-Grady) relations are subtracted: xj from the
-    cubic, (p + 1/p)^2 [xi, xj] from the quartic.  Any other entry gives
-    None.
+    With [x, y]_a = xy - a yx, aij = 0 gives [xi, xj], -1 the cubic
+    q-Serre polynomial [xi, [xi, xj]_{p^2}]_{p^-2} and -2 the quartic
+    [xi, [xi, [xi, xj]_{p^2}]_1]_{p^-2}; no power of xi is formed.  With
+    inhomogeneous=True the lower-order terms of the coideal (deformed
+    Dolan-Grady) relations are subtracted: xj from the cubic,
+    (p + 1/p)^2 [xi, xj] from the quartic.  Any other entry raises
+    ValueError.
     """
     if aij == 0:
         return commutator(xi, xj)
     if aij not in (-1, -2):
-        return None
-    x2 = xi @ xi
-    if aij == -1:
-        diff = x2 @ xj - (xi @ xj @ xi).scale(p ** 2 + p ** -2) + xj @ x2
-        return diff - xj if inhomogeneous else diff
-    c4 = p ** 2 + ONE + p ** -2
-    x3 = x2 @ xi
-    xij = xi @ xj
-    diff = x3 @ xj - (x2 @ xj @ xi).scale(c4) + (xij @ x2).scale(c4) - xj @ x3
+        raise ValueError(f"no relation for cartan entry {aij}")
+    xij, xji = xi @ xj, xj @ xi
+    y = xij - xji.scale(p ** 2)
+    if aij == -2:
+        y = commutator(xi, y)
+    diff = xi @ y - (y @ xi).scale(p ** -2)
     if inhomogeneous:
-        diff = diff - (xij - xj @ xi).scale((p + p ** -1) ** 2)
+        diff = diff - (xj if aij == -1 else (xij - xji).scale((p + p ** -1) ** 2))
     return diff
 
 
-_SERRE_NAMES = {0: "commute", -1: "cubic Serre", -2: "quartic Serre"}
+_RELATION_NAMES = {0: "commute", -1: "cubic", -2: "quartic"}
+
+
+def add_cartan_relations(rep: Report, sym: str, xs, cartan, p: Scalar,
+                         inhomogeneous: bool) -> None:
+    """Add one serre_residual row per ordered pair i != j of the generators xs.
+
+    Rows read "{sym}{i} {sym}{j} commute", "... cubic" or "... quartic";
+    the homogeneous cubic and quartic rows end in " Serre".
+    """
+    for i, xi in enumerate(xs):
+        for j, xj in enumerate(xs):
+            if i == j:
+                continue
+            aij = cartan[i][j]
+            diff = serre_residual(xi, xj, aij, p, inhomogeneous)
+            name = _RELATION_NAMES[aij] + (" Serre" if aij and not inhomogeneous else "")
+            rep.add_zero(f"{sym}{i} {sym}{j} {name}", diff)
 
 
 def check_defining_relations(fam: Family, gens: GeneratorSet, params: Params) -> Report:
@@ -271,16 +287,6 @@ def check_defining_relations(fam: Family, gens: GeneratorSet, params: Params) ->
                 pi = p ** fam.pexp[i]
                 diff = diff - (kp[i] - km[i]).scale((pi - pi ** -1) ** -1)
             rep.add_zero(f"e{i} f{j} commutator", diff)
-    for x, sym in ((e, "e"), (f, "f")):
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                aij = a[i][j]
-                diff = serre_residual(x[i], x[j], aij, p)
-                if diff is None:
-                    rep.add(f"{sym}{i} {sym}{j} cartan entry", False,
-                            f"unsupported a[{i}][{j}] = {aij}")
-                else:
-                    rep.add_zero(f"{sym}{i} {sym}{j} {_SERRE_NAMES[aij]}", diff)
+    add_cartan_relations(rep, "e", e, a, p, False)
+    add_cartan_relations(rep, "f", f, a, p, False)
     return rep

@@ -139,9 +139,9 @@ def test_03_coideal_relations_and_routes():
     specs += [CoidealSpec(Family(tag, 3), k, kp)
               for tag, k, kp in NINE_BOUNDARY]
     for spec in specs:
-        rep = check_routes_agree(spec, PARAMS)
-        assert rep.passed, (repr(spec), rep.summary())
         bs = onsager_generators(spec, PARAMS)
+        rep = check_routes_agree(spec, bs, PARAMS)
+        assert rep.passed, (repr(spec), rep.summary())
         rep = check_onsager_relations(bs, spec.fam.cartan, PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
     _done(3, "coideal relations on ten generator sets", start, budget=60.0)

@@ -7,6 +7,7 @@ import pytest
 from onsk.cli import _second_point, build_parser, main, resolve
 from onsk.field import format_scalar, make_params, parse_scalar, sample_params
 from onsk.kmatrix import build_kkk, build_ktr
+from onsk.linalg import Operator
 from onsk.onsager import CoidealSpec, hamiltonian
 from onsk.report import Report
 from onsk.spectra import eval_lambda_k11, eval_lambda_k21
@@ -211,6 +212,23 @@ def test_kmatrix_matches_golden_output(capsys, name, argv):
     assert_golden(capsys, name, argv)
 
 
+# defining-relations and onsager suite reports saved from the CLI while
+# serre_residual still expanded each relation into powers of x_i, with
+# elapsed_ms removed from the JSON.
+RELATIONS_GOLDEN = tuple(
+    (f"verify_{short}_{fam}_n3_seed0.json",
+     ("verify", "--suite", suite, "--family", fam, "--n", "3", "--format", "json",
+      "--seed", "0"))
+    for suite, short in (("defining-relations", "defining"), ("onsager", "onsager"))
+    for fam in ("A", "D2", "B1", "BT1", "D1"))
+
+
+@pytest.mark.parametrize("name, argv", RELATIONS_GOLDEN,
+                         ids=[g[0] for g in RELATIONS_GOLDEN])
+def test_relations_match_golden_output(capsys, name, argv):
+    assert_golden(capsys, name, argv)
+
+
 def test_sp4_matches_golden_output(capsys):
     # saved from the CLI while _pure_sum_zero still echelonised dense rows,
     # with elapsed_ms removed from the JSON
@@ -247,6 +265,36 @@ def test_each_k_matrix_built_once(capsys, monkeypatch, argv, want):
     rc, _, _ = run(capsys, *argv)
     assert rc == 0
     assert builds == want
+
+
+@pytest.mark.parametrize("suite, products, builds", [
+    ("defining-relations", 384, 0),
+    ("onsager", 102, 1),
+])
+def test_relation_suites_count_products(capsys, monkeypatch, suite, products, builds):
+    # D2 at n=5: the expanded polynomials with their powers of x_i made 408
+    # and 122 products, the onsager suite building its generators twice
+    import onsk.cli as cli
+    import onsk.onsager as onsager
+    calls = Counter()
+    matmul = Operator.__matmul__
+    build = onsager.onsager_generators
+
+    def counted_matmul(a, b):
+        calls["matmul"] += 1
+        return matmul(a, b)
+
+    def counted_build(spec, params):
+        calls["onsager_generators"] += 1
+        return build(spec, params)
+
+    monkeypatch.setattr(Operator, "__matmul__", counted_matmul)
+    for module in (cli, onsager):
+        monkeypatch.setattr(module, "onsager_generators", counted_build)
+    rc, _, _ = run(capsys, "verify", "--suite", suite, "--family", "D2", "--n", "5")
+    assert rc == 0
+    assert calls["matmul"] == products < {"defining-relations": 408, "onsager": 122}[suite]
+    assert calls["onsager_generators"] == builds
 
 
 def test_spectral_rows_at_reported_point(capsys):

@@ -61,11 +61,12 @@ def test_gamma_identity():
 
 def test_routes_agree_everywhere():
     for spec in nine_specs():
-        rep = check_routes_agree(spec, PARAMS)
+        rep = check_routes_agree(spec, onsager_generators(spec, PARAMS), PARAMS)
         assert rep.passed, (spec, rep.failures())
     for variant in (False, True):
         spec = CoidealSpec(Family("A1", 3), variant=variant)
-        rep = check_routes_agree(spec, sample_params(2))
+        params = sample_params(2)
+        rep = check_routes_agree(spec, onsager_generators(spec, params), params)
         assert rep.passed, rep.failures()
 
 
@@ -309,6 +310,6 @@ def test_routes_agree_negative_control(monkeypatch):
         return tuple(bs)
 
     monkeypatch.setattr(onsager, "pauli_generators", bumped)
-    rep = check_routes_agree(spec, PARAMS)
+    rep = check_routes_agree(spec, onsager_generators(spec, PARAMS), PARAMS)
     assert [c.name for c in rep.failures()] == ["b1 embedding vs local-spin"]
     assert rep.failures()[0].detail == "first difference at (2,1): -1/97+0/1*i"

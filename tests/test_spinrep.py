@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from onsk.field import Scalar, make_params, sample_params
 from onsk.linalg import Operator
-from onsk.onsager import CoidealSpec, onsager_generators
+from onsk.onsager import CoidealSpec, check_onsager_relations, onsager_generators
 from onsk.spinrep import (
+    _MIN_N,
     FAMILIES,
     Family,
+    GeneratorSet,
     RangeError,
     check_defining_relations,
     generators,
@@ -183,8 +187,6 @@ def test_defining_relations_negative_control():
     gens = generators(fam, params)
     broken = list(gens.e)
     broken[1] = broken[1].scale(Scalar(2))
-    from onsk.spinrep import GeneratorSet
-
     bad = GeneratorSet(fam, gens.z, broken, gens.f, gens.kplus, gens.kminus)
     rep = check_defining_relations(fam, bad, params)
     assert not rep.passed
@@ -213,4 +215,111 @@ def test_serre_residual_every_entry_and_negative_control():
     # the coideal generators need the lower-order terms
     for i, j in pairs[1:]:
         assert not serre_residual(bs[i], bs[j], fam.cartan[i][j], p).is_zero()
-    assert serre_residual(gens.e[0], gens.e[1], -3, p) is None
+    for aij in (-3, 1, 2):
+        with pytest.raises(ValueError):
+            serre_residual(gens.e[0], gens.e[1], aij, p)
+
+
+def test_every_cartan_entry_has_a_relation():
+    # serre_residual knows the entries 0, -1 and -2, and no family needs another
+    for tag in FAMILIES:
+        for n in range(_MIN_N[tag], 9):
+            cartan = Family(tag, n).cartan
+            off = {a for i, row in enumerate(cartan) for j, a in enumerate(row) if i != j}
+            assert off <= {0, -1, -2}, (tag, n, off)
+
+
+def _expanded_serre(xi, xj, aij, p, inhomogeneous):
+    """The relation expanded into powers of xi, one Operator product per factor."""
+    if aij == 0:
+        return xi @ xj - xj @ xi
+    x2 = xi @ xi
+    if aij == -1:
+        diff = x2 @ xj - (xi @ xj @ xi).scale(p ** 2 + p ** -2) + xj @ x2
+        return diff - xj if inhomogeneous else diff
+    c4 = p ** 2 + ONE + p ** -2
+    x3 = x2 @ xi
+    xij = xi @ xj
+    diff = x3 @ xj - (x2 @ xj @ xi).scale(c4) + (xij @ x2).scale(c4) - xj @ x3
+    if inhomogeneous:
+        diff = diff - (xij - xj @ xi).scale((p + p ** -1) ** 2)
+    return diff
+
+
+def _triples(op):
+    return {r: {c: (x.a, x.b, x.d) for c, x in row.items()} for r, row in op.rows.items()}
+
+
+def _assert_matches_expanded(xs, p):
+    for i, xi in enumerate(xs):
+        for j, xj in enumerate(xs):
+            if i == j:
+                continue
+            for aij in (0, -1, -2):
+                for inhomogeneous in (False, True):
+                    got = serre_residual(xi, xj, aij, p, inhomogeneous)
+                    want = _expanded_serre(xi, xj, aij, p, inhomogeneous)
+                    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+                    assert _triples(got) == _triples(want), (i, j, aij, inhomogeneous)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_serre_residual_matches_expanded_polynomial(tag):
+    fam = Family(tag, _MIN_N[tag])
+    params = sample_params(1)
+    gens = generators(fam, params)
+    spec = CoidealSpec(fam) if tag == "A1" else CoidealSpec(fam, fam.r, fam.rp)
+    for xs in (gens.e, gens.f, onsager_generators(spec, params)):
+        _assert_matches_expanded(xs, params.p)
+
+
+def _random_operator(rng, dim):
+    op = Operator(dim, dim)
+    for r in range(dim):
+        for c in rng.sample(range(dim), rng.randint(0, min(dim, 3))):
+            op.set(r, c, Scalar(rng.randint(-9, 9), rng.randint(-9, 9),
+                                rng.choice((1, 2, 3, 5, 7, 49))))
+    return op
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_serre_residual_matches_expanded_on_random_operators(seed):
+    rng = random.Random(f"serre:{seed}")
+    dim = rng.randint(1, 6)
+    xs = [_random_operator(rng, dim) for _ in range(3)]
+    p = Scalar(rng.randint(1, 9), rng.randint(-3, 3), rng.randint(2, 11))
+    _assert_matches_expanded(xs, p)
+
+
+def _bumped_at(xs, k, r, c):
+    out = list(xs)
+    out[k] = out[k].copy()
+    out[k].add_to(r, c, Scalar(1, 0, 97))
+    return out
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND line on the D2 quartic checks: e0^2 = 0 and b0 acts on one "
+    "site, so these rows pass for every second generator (ROADMAP item 5)"))
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("row", ("e0 e1 quartic Serre", "f0 f1 quartic Serre",
+                                 "b0 b1 quartic"))
+def test_d2_quartic_sees_bumped_second_generator(row, n):
+    # each nonzero entry of x1, moved by 1/97 on its own, must fail the row
+    fam = Family("D2", n)
+    params = sample_params(0)
+    gens = generators(fam, params)
+    bs = onsager_generators(CoidealSpec(fam, 1, 1), params)
+    sym = row[0]
+    missed = []
+    for r, c, _ in {"e": gens.e, "f": gens.f, "b": bs}[sym][1].entries():
+        xs = {"e": gens.e, "f": gens.f, "b": bs}
+        xs[sym] = _bumped_at(xs[sym], 1, r, c)
+        if sym == "b":
+            rep = check_onsager_relations(xs["b"], fam.cartan, params)
+        else:
+            bad = GeneratorSet(fam, gens.z, xs["e"], xs["f"], gens.kplus, gens.kminus)
+            rep = check_defining_relations(fam, bad, params)
+        if row not in [ch.name for ch in rep.failures()]:
+            missed.append((r, c))
+    assert not missed
