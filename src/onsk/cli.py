@@ -30,8 +30,7 @@ from .field import (BadLiteral, GenericityError, Params, PoleError, Scalar,
                     format_scalar, make_params, parse_scalar, sample_params)
 from .kmatrix import (ZeroNormalizer, build_kkk, build_ktr,
                       check_commutativity, check_intertwining,
-                      check_kh_commute, check_unitarity, gauge_tilde,
-                      kmatrix_for)
+                      check_kh_commute, check_unitarity, kmatrix_for)
 from .linalg import Operator
 from .onsager import (CoidealSpec, SpecError, ZeroParameter,
                       check_onsager_relations, check_routes_agree,
@@ -41,7 +40,7 @@ from .sp4 import (TruncationMarginError, check_annihilation, check_boundary_seri
                   check_lemma_identities)
 from .spectra import (DegenerateEigenvalues, spectra_csv, spectrum_family,
                       spectrum_suite)
-from .spinrep import (FAMILIES, Family, RangeError, check_defining_relations,
+from .spinrep import (ALIASES, Family, RangeError, check_defining_relations,
                       generators)
 
 SUITES = ("defining-relations", "onsager", "kmatrix", "spectra", "sp4")
@@ -142,9 +141,8 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, flag, None)
 
     if args.family is not None:
-        tag = args.family.upper()
-        tag = "A1" if tag == "A" else tag
-        if tag not in FAMILIES:
+        tag = ALIASES.get(args.family.upper())
+        if tag is None:
             raise ConfigError(f"unknown family {args.family!r}; "
                               f"choose from A, D2, B1, BT1, D1")
         args.family = tag
@@ -233,8 +231,6 @@ def _suite_kmatrix(cfg: argparse.Namespace, params: Params) -> Report:
         rep.extend(check_commutativity(km, build_ktr(n, w, params),
                                        build_kkk(1, 1, n, z, params),
                                        build_kkk(1, 1, n, w, params)))
-    else:
-        km = gauge_tilde(km, params)
     rep.extend(check_intertwining(spec, km, params))
     rep.extend(check_kh_commute(spec, km, params))
     return rep

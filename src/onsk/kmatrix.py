@@ -12,9 +12,11 @@ independent route recovers the same matrices, up to normalization, as
 the unique solution of the generator exchange relations; agreement of
 the two routes is a checked invariant.
 
-The relation checks take the matrices they certify and build none; each
-refuses a matrix of another kind, gauge, size or point with SpecError.
-kmatrix_for maps a coideal spec to its K matrix; callers build each once.
+Every KMatrix is plain; the symmetrizing gauge and the spin reversal are
+entry maps of it.  The relation checks take the plain matrices they
+certify, gauge them themselves and build none; each refuses a matrix of
+another kind, size or point with SpecError.  kmatrix_for maps a coideal
+spec to its K matrix; callers build each once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .onsager import CoidealSpec, SpecError, bond_parameters, hamiltonian, onsag
 from .poch import poch
 from .qboson import QBosonEngine, boundary_contract
 from .report import Report
-from .spinrep import RangeError, global_flip, popcount
+from .spinrep import RangeError, popcount
 
 
 class ZeroNormalizer(ArithmeticError):
@@ -39,17 +41,16 @@ class NullspaceDimensionError(ArithmeticError):
 class KMatrix:
     """Spin-chain K matrix with its construction metadata."""
 
-    __slots__ = ("operator", "kind", "gauge", "z", "n")
+    __slots__ = ("operator", "kind", "z", "n")
 
-    def __init__(self, operator: Operator, kind, gauge: str, z, n: int) -> None:
+    def __init__(self, operator: Operator, kind, z, n: int) -> None:
         self.operator = operator
         self.kind = kind          # "tr" or a (k, kp) pair
-        self.gauge = gauge        # "plain", "tilde" or "vee"
         self.z = z                # Scalar, or a tuple for the multi-parameter trace
         self.n = n
 
     def __repr__(self) -> str:
-        return f"KMatrix(kind={self.kind!r}, gauge={self.gauge!r}, n={self.n})"
+        return f"KMatrix(kind={self.kind!r}, n={self.n})"
 
 
 def _site_letters(engine: QBosonEngine) -> dict:
@@ -86,16 +87,6 @@ def _words(engine: QBosonEngine, root, sites: list, weight=None, parity=None):
     return walk(0, 0, 0, 0, root)
 
 
-def _fill(dim: int, vals: dict) -> Operator:
-    # entries go in alpha-major order whatever order the words were built
-    # in: products, and with them the first residual a check names, follow
-    # the operator's row and column order
-    op = Operator(dim, dim)
-    for beta, alpha in sorted(vals, key=lambda ba: (ba[1], ba[0])):
-        op.set(beta, alpha, vals[beta, alpha])
-    return op
-
-
 def kappa_tr(l: int, n: int, z: Scalar, q: Scalar) -> Scalar:
     sign = ONE if l % 2 == 0 else -ONE
     return sign * q ** min(0, 2 * l - n) * (ONE - q ** abs(n - 2 * l) * z)
@@ -105,14 +96,14 @@ def _trace_closed(engine: QBosonEngine, root, sites: list, kappa=None) -> Operat
     # trace-closed entries on the support |alpha| + |beta| = n, each times
     # kappa[|alpha|] when given
     n = len(sites)
-    vals = {}
+    op = Operator(1 << n)
     for beta, alpha, word in _words(engine, root, sites, weight=n):
         try:
             val = engine.trace(word)
         except PoleError as exc:
             raise PoleError(f"entry beta={beta} alpha={alpha}: {exc}") from exc
-        vals[beta, alpha] = val if kappa is None else kappa[popcount(alpha)] * val
-    return _fill(1 << n, vals)
+        op.set(beta, alpha, val if kappa is None else kappa[popcount(alpha)] * val)
+    return op
 
 
 def build_ktr(n: int, z: Scalar, params: Params) -> KMatrix:
@@ -122,7 +113,7 @@ def build_ktr(n: int, z: Scalar, params: Params) -> KMatrix:
     engine = QBosonEngine(params)
     kappa = [kappa_tr(l, n, z, params.q) for l in range(n + 1)]
     op = _trace_closed(engine, engine.marker(z), [_site_letters(engine)] * n, kappa)
-    return KMatrix(op, "tr", "plain", z, n)
+    return KMatrix(op, "tr", z, n)
 
 
 def build_ktr_multi(zs, params: Params) -> KMatrix:
@@ -147,7 +138,7 @@ def build_ktr_multi(zs, params: Params) -> KMatrix:
     ref = op.get(dim - 1, 0)
     if ref.is_zero():
         raise ZeroNormalizer("all-up from all-down entry vanishes")
-    return KMatrix(op.scale(ref.inverse()), "tr", "plain", tuple(zlist), n)
+    return KMatrix(op.scale(ref.inverse()), "tr", tuple(zlist), n)
 
 
 def reference_value(kind, n: int, z: Scalar, params: Params) -> Scalar:
@@ -181,64 +172,56 @@ def build_kkk(k: int, kp: int, n: int, z: Scalar, params: Params) -> KMatrix:
     dim = 1 << n
     # (2, 2) entries vanish unless |alpha| + |beta| has the parity of n
     parity = n % 2 if (k, kp) == (2, 2) else None
-    vals = {}
+    op = Operator(dim)
     for beta, alpha, word in _words(engine, engine.marker(z), [_site_letters(engine)] * n,
                                     parity=parity):
-        vals[beta, alpha] = boundary_contract(engine, word, k, kp)
-    op = _fill(dim, vals)
+        op.set(beta, alpha, boundary_contract(engine, word, k, kp))
     want = reference_value((k, kp), n, z, params)
     got = op.get(dim - 1, 0)
     if got != want:
         raise ArithmeticError(
             f"reference entry mismatch for ({k},{kp}) n={n}: got {got}, want {want}")
-    return KMatrix(op, (k, kp), "plain", z, n)
+    return KMatrix(op, (k, kp), z, n)
 
 
-def _scale_matrix(n: int, params: Params, power: int = 1) -> Operator:
-    # diagonal gauge (-mu t)^{power |alpha|}; power -1 gives its inverse
-    dim = 1 << n
-    s = Operator(dim, dim)
-    base = params.t * (-params.mu)
-    for alpha in range(dim):
-        s.set(alpha, alpha, base ** (power * popcount(alpha)))
-    return s
+def _gauge(op: Operator, n: int, s: Scalar) -> Operator:
+    # D op D^-1 for D = diag(s^|alpha|): entry (r, c) times s^(|r| - |c|)
+    powers = [s ** e for e in range(-n, n + 1)]
+    out = Operator(op.nrows, op.ncols)
+    out.rows = {r: {c: v * powers[n + popcount(r) - popcount(c)] for c, v in cols.items()}
+                for r, cols in op.rows.items()}
+    return out
 
 
-def gauge_tilde(km: KMatrix, params: Params) -> KMatrix:
-    """Symmetrizing diagonal gauge; defined for the boundary-closed kind."""
+def gauge_tilde(km: KMatrix, params: Params) -> Operator:
+    """Symmetrizing gauge of a boundary-closed K: entry (r, c) times (-mu t)^(|r| - |c|)."""
     if km.kind == "tr":
         raise SpecError("the symmetrizing gauge applies to the boundary-closed kind")
-    if km.gauge != "plain":
-        raise SpecError(f"expected the plain gauge, got {km.gauge!r}")
-    op = _scale_matrix(km.n, params) @ km.operator @ _scale_matrix(km.n, params, -1)
-    return KMatrix(op, km.kind, "tilde", km.z, km.n)
+    return _gauge(km.operator, km.n, params.t * -params.mu)
 
 
-def vee(km: KMatrix, params: Params) -> KMatrix:
-    """Spin-reversal variant: flip applied to the trace kind directly,
-    and to the symmetrized gauge of the boundary-closed kind."""
-    if km.gauge == "vee":
-        raise SpecError("already in the spin-reversed gauge")
-    base = km
-    if km.kind != "tr" and km.gauge == "plain":
-        base = gauge_tilde(km, params)
-    return KMatrix(global_flip(km.n) @ base.operator, km.kind, "vee", km.z, km.n)
+def vee(km: KMatrix, params: Params) -> Operator:
+    """Spin reversal: the rows of K for the trace kind, or of gauge_tilde(K)
+    for a boundary-closed kind, each row r moved to r XOR (2^n - 1)."""
+    op = km.operator if km.kind == "tr" else gauge_tilde(km, params)
+    flip = (1 << km.n) - 1
+    return op.block([r ^ flip for r in range(flip + 1)], range(flip + 1))
 
 
-def _require(km: KMatrix, kind, gauge: str, n: int, z=None) -> None:
+def _require(km: KMatrix, kind, n: int, z=None) -> None:
     # a check certifies one identity of given matrices; any other matrix
     # is refused, never checked against a different identity
-    if ((km.kind, km.gauge, km.n) != (kind, gauge, n) or not isinstance(km.z, Scalar)
+    if ((km.kind, km.n) != (kind, n) or not isinstance(km.z, Scalar)
             or z is not None and km.z != z):
         at = "" if z is None else f" at z={format_scalar(z)}"
-        raise SpecError(f"expected the {gauge} {kind} K matrix with n={n}{at}, got {km!r}")
+        raise SpecError(f"expected the {kind} K matrix with n={n}{at}, got {km!r}")
 
 
 def check_unitarity(kz: KMatrix, kinv: KMatrix) -> Report:
     """Inversion relation of K_tr(z) and K_tr(1/z)."""
     n = kz.n
-    _require(kz, "tr", "plain", n)
-    _require(kinv, "tr", "plain", n, kz.z.inverse())
+    _require(kz, "tr", n)
+    _require(kinv, "tr", n, kz.z.inverse())
     rep = Report(f"inversion relation n={n}")
     eye = Operator.identity(1 << n)
     rep.add_zero("K(z) K(1/z) = id", kz.operator @ kinv.operator - eye)
@@ -255,12 +238,12 @@ def check_commutativity(kz: KMatrix, kw: KMatrix, bz: KMatrix, bw: KMatrix) -> R
     negative outcome is recorded in the project notes.
     """
     n = kz.n
-    _require(kz, "tr", "plain", n)
-    _require(kw, "tr", "plain", n)
+    _require(kz, "tr", n)
+    _require(kw, "tr", n)
     if kw.z == kz.z:
         raise SpecError("commutativity needs two distinct spectral points")
-    _require(bz, (1, 1), "plain", n, kz.z)
-    _require(bw, (1, 1), "plain", n, kw.z)
+    _require(bz, (1, 1), n, kz.z)
+    _require(bw, (1, 1), n, kw.z)
     rep = Report(f"K commutativity n={n}")
     rep.add_zero("trace kind commutes", commutator(kz.operator, kw.operator))
     res = first_entry(commutator(bz.operator, bw.operator))
@@ -279,18 +262,16 @@ def kmatrix_for(spec: CoidealSpec, params: Params) -> KMatrix:
 
 
 def _require_spec(spec: CoidealSpec, km: KMatrix, params: Params) -> None:
-    # the spec's matrix at params.z; a bounded kind in the tilde gauge
-    cyclic = spec.fam.tag == "A1"
-    _require(km, "tr" if cyclic else (spec.k, spec.kp), "plain" if cyclic else "tilde",
-             spec.fam.n, params.z)
+    # the spec's matrix at params.z
+    _require(km, "tr" if spec.fam.tag == "A1" else (spec.k, spec.kp), spec.fam.n, params.z)
 
 
 def check_intertwining(spec: CoidealSpec, km: KMatrix, params: Params) -> Report:
     """Exchange relation K b_i = (b_i at inverted z) K for every node, for
-    km = kmatrix_for(spec, params), in the tilde gauge if bounded."""
+    km = kmatrix_for(spec, params) and K its symmetrizing gauge if bounded."""
     _require_spec(spec, km, params)
     rep = Report(f"exchange relations {spec!r}")
-    kop = km.operator
+    kop = km.operator if km.kind == "tr" else gauge_tilde(km, params)
     bs = onsager_generators(spec, params)
     bs_inv = onsager_generators(spec, params.inverted_z())
     for i, (b, binv) in enumerate(zip(bs, bs_inv)):
@@ -301,18 +282,18 @@ def check_intertwining(spec: CoidealSpec, km: KMatrix, params: Params) -> Report
 
 
 def check_kh_commute(spec: CoidealSpec, km: KMatrix, params: Params) -> Report:
-    """The spin-reversed km, as check_intertwining takes it, commutes with
-    the matching Hamiltonian."""
+    """The spin reversal of km = kmatrix_for(spec, params) commutes with the
+    matching Hamiltonian."""
     _require_spec(spec, km, params)
     rep = Report(f"K-H commutativity {spec!r}")
     h = hamiltonian(spec, params)
     kv = vee(km, params)
-    rep.add_zero("[K, H] = 0", commutator(kv.operator, h))
+    rep.add_zero("[K, H] = 0", commutator(kv, h))
     if spec.fam.tag == "A1":
-        ok = all(popcount(r) == popcount(c) for r, c, _ in kv.operator.entries())
+        ok = all(popcount(r) == popcount(c) for r, c, _ in kv.entries())
         rep.add("weight blocks preserved", ok)
     elif (spec.k, spec.kp) == (2, 2):
-        ok = all((popcount(r) - popcount(c)) % 2 == 0 for r, c, _ in kv.operator.entries())
+        ok = all((popcount(r) - popcount(c)) % 2 == 0 for r, c, _ in kv.entries())
         rep.add("parity blocks preserved", ok)
     return rep
 
@@ -385,9 +366,9 @@ def solve_intertwiner(spec: CoidealSpec, params: Params) -> KMatrix:
         kind = "tr"
     else:
         kind = (spec.k, spec.kp)
-        op = _scale_matrix(n, params, -1) @ op @ _scale_matrix(n, params)
+        op = _gauge(op, n, (params.t * -params.mu).inverse())
     ref = op.get(dim - 1, 0)
     if ref.is_zero():
         raise ZeroNormalizer("all-up from all-down entry of the solution vanishes")
     op = op.scale(reference_value(kind, n, params.z, params) / ref)
-    return KMatrix(op, kind, "plain", params.z, n)
+    return KMatrix(op, kind, params.z, n)

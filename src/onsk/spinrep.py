@@ -19,7 +19,7 @@ _MIN_N = {"A1": 3, "D2": 2, "B1": 3, "BT1": 3, "D1": 3}
 # (r, rp): double arrow (1) or trivalent fork (2) at each end of the diagram.
 _END_SHAPES = {"D2": (1, 1), "B1": (2, 1), "BT1": (1, 2), "D1": (2, 2)}
 
-_ALIASES = {"A": "A1", "A1": "A1", "D2": "D2", "B1": "B1", "BT1": "BT1", "D1": "D1"}
+ALIASES = {"A": "A1", "A1": "A1", "D2": "D2", "B1": "B1", "BT1": "BT1", "D1": "D1"}
 
 
 class RangeError(ValueError):
@@ -76,7 +76,7 @@ class Family:
 
     def __init__(self, tag: str, n: int) -> None:
         try:
-            tag = _ALIASES[tag.upper()]
+            tag = ALIASES[tag.upper()]
         except KeyError:
             raise RangeError(f"unknown family tag {tag!r}") from None
         if n < _MIN_N[tag]:
@@ -255,14 +255,21 @@ def add_cartan_relations(rep: Report, sym: str, xs, cartan, p: Scalar,
     """Add one serre_residual row per ordered pair i != j of the generators xs.
 
     Rows read "{sym}{i} {sym}{j} commute", "... cubic" or "... quartic";
-    the homogeneous cubic and quartic rows end in " Serre".
+    the homogeneous cubic and quartic rows end in " Serre".  The (j, i)
+    row of a commuting pair is the negated (i, j) residual.
     """
+    commuting = {}
     for i, xi in enumerate(xs):
         for j, xj in enumerate(xs):
             if i == j:
                 continue
             aij = cartan[i][j]
-            diff = serre_residual(xi, xj, aij, p, inhomogeneous)
+            if aij == 0 and (j, i) in commuting:
+                diff = -commuting.pop((j, i))
+            else:
+                diff = serre_residual(xi, xj, aij, p, inhomogeneous)
+                if aij == 0:
+                    commuting[i, j] = diff
             name = _RELATION_NAMES[aij] + (" Serre" if aij and not inhomogeneous else "")
             rep.add_zero(f"{sym}{i} {sym}{j} {name}", diff)
 

@@ -184,12 +184,8 @@ def test_05_exchange_relations_and_hamiltonians():
     specs = [CoidealSpec(Family("A1", 3))]
     specs += [CoidealSpec(Family(tag, 3), k, kp)
               for tag, k, kp in NINE_BOUNDARY]
-    def spec_matrix(spec):
-        km = kmatrix_for(spec, PARAMS)
-        return km if km.kind == "tr" else gauge_tilde(km, PARAMS)
-
     for spec in specs:
-        rep = check_intertwining(spec, spec_matrix(spec), PARAMS)
+        rep = check_intertwining(spec, kmatrix_for(spec, PARAMS), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
     recipes = [CoidealSpec(Family("A1", 3)),
                CoidealSpec(Family("D2", 2), 1, 1),
@@ -197,12 +193,12 @@ def test_05_exchange_relations_and_hamiltonians():
                CoidealSpec(Family("BT1", 3), 1, 2),
                CoidealSpec(Family("D1", 3), 2, 2)]
     for spec in recipes:
-        rep = check_kh_commute(spec, spec_matrix(spec), PARAMS)
+        rep = check_kh_commute(spec, kmatrix_for(spec, PARAMS), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
     zs = (Scalar(2), Scalar(3), Scalar(5))
     kv = vee(build_ktr_multi(zs, PARAMS), PARAMS)
     h = hamiltonian_multi(zs, PARAMS)
-    assert kv.operator @ h == h @ kv.operator
+    assert kv @ h == h @ kv
     _done(5, "exchange relations, five Hamiltonian recipes, multi-parameter",
           start)
 
@@ -238,8 +234,7 @@ def test_06_direct_solver():
         assert len(basis) == 2, (n, len(basis))
         dim = 1 << n
         rows = [flat(b, dim) for b in basis]
-        built = flat(gauge_tilde(build_kkk(2, 2, n, PARAMS.z, PARAMS),
-                                 PARAMS).operator, dim)
+        built = flat(gauge_tilde(build_kkk(2, 2, n, PARAMS.z, PARAMS), PARAMS), dim)
         assert rank_rows(rows) == 2
         assert rank_rows(rows + [built]) == 2
         space_dims.append(f"D1 (2,2) n={n}: 2")

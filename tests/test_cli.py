@@ -268,12 +268,12 @@ def test_each_k_matrix_built_once(capsys, monkeypatch, argv, want):
 
 
 @pytest.mark.parametrize("suite, products, builds", [
-    ("defining-relations", 384, 0),
-    ("onsager", 102, 1),
+    ("defining-relations", 344, 0),
+    ("onsager", 82, 1),
 ])
 def test_relation_suites_count_products(capsys, monkeypatch, suite, products, builds):
-    # D2 at n=5: the expanded polynomials with their powers of x_i made 408
-    # and 122 products, the onsager suite building its generators twice
+    # D2 at n=5: computing each commuting pair's residual for (i, j) and
+    # again for (j, i) made 384 and 102 products
     import onsk.cli as cli
     import onsk.onsager as onsager
     calls = Counter()
@@ -293,8 +293,28 @@ def test_relation_suites_count_products(capsys, monkeypatch, suite, products, bu
         monkeypatch.setattr(module, "onsager_generators", counted_build)
     rc, _, _ = run(capsys, "verify", "--suite", suite, "--family", "D2", "--n", "5")
     assert rc == 0
-    assert calls["matmul"] == products < {"defining-relations": 408, "onsager": 122}[suite]
+    assert calls["matmul"] == products < {"defining-relations": 384, "onsager": 102}[suite]
     assert calls["onsager_generators"] == builds
+
+
+@pytest.mark.parametrize("family, products", [
+    ("A", 33), ("D2", 32), ("B1", 32), ("BT1", 32), ("D1", 32),
+])
+def test_kmatrix_suite_counts_products(capsys, monkeypatch, family, products):
+    # at n=5 no product forms a gauge or the spin flip: the diagonal gauge
+    # products and the flip product made 35 for the bounded families and
+    # 34 for A
+    calls = []
+    matmul = Operator.__matmul__
+
+    def counted_matmul(a, b):
+        calls.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Operator, "__matmul__", counted_matmul)
+    rc, _, _ = run(capsys, "verify", "--suite", "kmatrix", "--family", family, "--n", "5")
+    assert rc == 0
+    assert len(calls) == products
 
 
 def test_spectral_rows_at_reported_point(capsys):
@@ -446,12 +466,22 @@ def test_output_flag_writes_file(capsys, tmp_path):
 
 def test_resolve_canonicalizes_family():
     parser = build_parser()
-    cfg = resolve(parser.parse_args(
-        ["verify", "--suite", "onsager", "--family", "a", "--n", "4"]))
-    assert cfg.family == "A1"
+    for given, tag in (("a", "A1"), ("a1", "A1"), ("bt1", "BT1"), ("D2", "D2")):
+        cfg = resolve(parser.parse_args(
+            ["verify", "--suite", "onsager", "--family", given, "--n", "4"]))
+        assert cfg.family == tag
     assert cfg.format == "text"
     cfg = resolve(parser.parse_args(
         ["verify", "--suite", "spectra", "--family", "A", "--n", "4"]))
     assert cfg.format == "csv"
     with pytest.raises(SystemExit):     # there is no --jobs flag
         parser.parse_args(["verify", "--suite", "all", "--jobs", "1"])
+
+
+def test_unknown_family_exits_2(capsys):
+    for given in ("Q", "A2", "bt"):
+        rc, out, err = run(capsys, "verify", "--suite", "onsager", "--family", given,
+                           "--n", "3")
+        assert (rc, out) == (2, "")
+        assert err == (f"error: unknown family {given!r}; "
+                       "choose from A, D2, B1, BT1, D1\n")

@@ -47,7 +47,7 @@ def seeds(k=3):
 def test_ktr_smallest_size():
     q = PARAMS.q
     km = build_ktr(1, PARAMS.z, PARAMS)
-    assert km.kind == "tr" and km.gauge == "plain" and km.n == 1
+    assert km.kind == "tr" and km.n == 1
     assert km.operator.get(0, 1) == q
     assert km.operator.get(1, 0) == q ** -1
     assert km.operator.get(0, 0).is_zero() and km.operator.get(1, 1).is_zero()
@@ -103,12 +103,6 @@ def unitarity_inputs(n):
 def commutativity_inputs(n, z, w):
     return (build_ktr(n, z, PARAMS), build_ktr(n, w, PARAMS),
             build_kkk(1, 1, n, z, PARAMS), build_kkk(1, 1, n, w, PARAMS))
-
-
-def spec_matrix(spec, prm):
-    """The matrix check_intertwining and check_kh_commute take for spec."""
-    km = kmatrix_for(spec, prm)
-    return km if km.kind == "tr" else gauge_tilde(km, prm)
 
 
 def test_unitarity():
@@ -228,37 +222,78 @@ def test_kkk_rejects_bad_labels():
 
 def test_gauge_tilde_symmetric():
     for (k, kp, n) in ((1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 3)):
-        km = gauge_tilde(build_kkk(k, kp, n, PARAMS.z, PARAMS), PARAMS)
-        assert km.gauge == "tilde"
-        assert km.operator == km.operator.transpose()
+        kt = gauge_tilde(build_kkk(k, kp, n, PARAMS.z, PARAMS), PARAMS)
+        assert kt == kt.transpose()
 
 
 def test_gauge_tilde_guards():
     with pytest.raises(SpecError):
         gauge_tilde(build_ktr(2, PARAMS.z, PARAMS), PARAMS)
-    kt = gauge_tilde(build_kkk(1, 1, 2, PARAMS.z, PARAMS), PARAMS)
-    with pytest.raises(SpecError):
-        gauge_tilde(kt, PARAMS)
 
 
 def test_vee_is_flip_composed():
     km = build_ktr(2, PARAMS.z, PARAMS)
-    kv = vee(km, PARAMS)
-    assert kv.gauge == "vee"
-    assert kv.operator == global_flip(2) @ km.operator
+    assert vee(km, PARAMS) == global_flip(2) @ km.operator
     # flipping the plain boundary kind routes through the symmetric gauge
     kb = build_kkk(2, 2, 3, PARAMS.z, PARAMS)
-    kv2 = vee(kb, PARAMS)
-    assert kv2.operator == global_flip(3) @ gauge_tilde(kb, PARAMS).operator
-    with pytest.raises(SpecError):
-        vee(kv, PARAMS)
+    assert vee(kb, PARAMS) == global_flip(3) @ gauge_tilde(kb, PARAMS)
+
+
+def _reference_gauge(op, n, s):
+    """D op D^-1 with D = diag(s^|alpha|), as two products with diagonal operators."""
+    d, dinv = Operator(1 << n), Operator(1 << n)
+    for alpha in range(1 << n):
+        d.set(alpha, alpha, s ** popcount(alpha))
+        dinv.set(alpha, alpha, s ** -popcount(alpha))
+    return d @ op @ dinv
+
+
+@pytest.mark.parametrize("t, z", [(Scalar(2, 0, 5), Scalar(3, 0, 7)),
+                                  (parse_scalar("1/2+1/3*i"), parse_scalar("2/7+1/5*i"))],
+                         ids=["real", "complex"])
+def test_gauge_and_flip_match_operator_products(t, z):
+    # the entry maps equal the diagonal gauge products and the flip product
+    for eps in (1, -1):
+        for mu in (1, -1):
+            prm = make_params(t, z, eps, mu)
+            for n in range(1, 5):
+                for k in (1, 2):
+                    for kp in (1, 2):
+                        km = build_kkk(k, kp, n, z, prm)
+                        kt = gauge_tilde(km, prm)
+                        assert kt == _reference_gauge(km.operator, n, t * -mu), (prm, n, k, kp)
+                        assert vee(km, prm) == global_flip(n) @ kt, (prm, n, k, kp)
+                ktr = build_ktr(n, z, prm)
+                assert vee(ktr, prm) == global_flip(n) @ ktr.operator, (prm, n)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gauge_matches_reference_on_random_operators(seed):
+    rng = random.Random(f"gauge:{seed}")
+
+    def gauss():
+        return Scalar(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 12))
+
+    n = rng.randint(1, 4)
+    t = gauss()
+    while t.is_zero() or t * t in (ONE, -ONE):
+        t = gauss()
+    prm = make_params(t, Scalar(3, 0, 7), rng.choice((1, -1)), rng.choice((1, -1)))
+    op = Operator(1 << n)
+    for r in range(1 << n):
+        for c in range(1 << n):
+            if rng.random() < 0.4:
+                op.set(r, c, gauss())
+    km = KMatrix(op, (rng.randint(1, 2), rng.randint(1, 2)), prm.z, n)
+    assert gauge_tilde(km, prm) == _reference_gauge(op, n, t * -prm.mu)
+    assert vee(km, prm) == global_flip(n) @ gauge_tilde(km, prm)
 
 
 def test_vee_preserves_sectors():
     kv = vee(build_ktr(3, PARAMS.z, PARAMS), PARAMS)
-    assert all(popcount(r) == popcount(c) for r, c, _ in kv.operator.entries())
+    assert all(popcount(r) == popcount(c) for r, c, _ in kv.entries())
     kv = vee(build_kkk(2, 2, 3, PARAMS.z, PARAMS), PARAMS)
-    assert all((popcount(r) - popcount(c)) % 2 == 0 for r, c, _ in kv.operator.entries())
+    assert all((popcount(r) - popcount(c)) % 2 == 0 for r, c, _ in kv.entries())
 
 
 def nine_specs():
@@ -276,7 +311,7 @@ def nine_specs():
 def test_intertwining_cyclic_family():
     for prm in seeds(2):
         spec = CoidealSpec(Family("A1", 3))
-        rep = check_intertwining(spec, spec_matrix(spec, prm), prm)
+        rep = check_intertwining(spec, kmatrix_for(spec, prm), prm)
         assert rep.passed, rep.summary()
         names = [c.name for c in rep.checks]
         assert "b1 free of z" in names and "b2 free of z" in names
@@ -284,7 +319,7 @@ def test_intertwining_cyclic_family():
 
 def test_intertwining_all_nine():
     for spec in nine_specs():
-        rep = check_intertwining(spec, spec_matrix(spec, PARAMS), PARAMS)
+        rep = check_intertwining(spec, kmatrix_for(spec, PARAMS), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
 
 
@@ -300,32 +335,32 @@ def five_recipes():
 
 def test_kh_commute_five_recipes():
     for spec in five_recipes():
-        rep = check_kh_commute(spec, spec_matrix(spec, PARAMS), PARAMS)
+        rep = check_kh_commute(spec, kmatrix_for(spec, PARAMS), PARAMS)
         assert rep.passed, (repr(spec), rep.summary())
 
 
 def test_kh_commute_needs_recipe():
     spec = CoidealSpec(Family("D2", 2), 2, 1)
     with pytest.raises(SpecError):
-        check_kh_commute(spec, spec_matrix(spec, PARAMS), PARAMS)
+        check_kh_commute(spec, kmatrix_for(spec, PARAMS), PARAMS)
 
 
 def test_kmatrix_for_plain_matrix_of_spec():
     spec = CoidealSpec(Family("A1", 3))
     assert kmatrix_for(spec, PARAMS).operator == build_ktr(3, PARAMS.z, PARAMS).operator
     km = kmatrix_for(CoidealSpec(Family("B1", 3), 2, 1), PARAMS)
-    assert (km.kind, km.gauge, km.n, km.z) == ((2, 1), "plain", 3, PARAMS.z)
+    assert (km.kind, km.n, km.z) == ((2, 1), 3, PARAMS.z)
     assert km.operator == build_kkk(2, 1, 3, PARAMS.z, PARAMS).operator
 
 
 def _relabelled(km, **change):
-    fields = dict(kind=km.kind, gauge=km.gauge, z=km.z, n=km.n)
+    fields = dict(kind=km.kind, z=km.z, n=km.n)
     fields.update(change)
     return KMatrix(km.operator, **fields)
 
 
 def test_checks_refuse_other_matrices():
-    # a matrix of the wrong kind, gauge, size or point is refused, never
+    # a matrix of the wrong kind, size or point is refused, never
     # checked against a different identity
     kz, kinv = unitarity_inputs(2)
     with pytest.raises(SpecError):
@@ -335,7 +370,7 @@ def test_checks_refuse_other_matrices():
     with pytest.raises(SpecError):
         check_unitarity(build_kkk(1, 1, 2, PARAMS.z, PARAMS), kinv)
     with pytest.raises(SpecError):
-        check_unitarity(kz, _relabelled(kinv, gauge="vee"))
+        check_unitarity(kz, _relabelled(kinv, n=3))
     kz, kw, bz, bw = commutativity_inputs(2, PARAMS.z, Scalar(5, 0, 11))
     with pytest.raises(SpecError):
         check_commutativity(kz, kz, bz, bz)
@@ -346,10 +381,8 @@ def test_checks_refuse_other_matrices():
     with pytest.raises(SpecError):
         check_commutativity(kz, build_ktr_multi((Scalar(5, 0, 11), Scalar(2)), PARAMS), bz, bw)
     spec = CoidealSpec(Family("D2", 2), 1, 1)
-    kt = spec_matrix(spec, PARAMS)
+    kt = kmatrix_for(spec, PARAMS)
     for check in (check_intertwining, check_kh_commute):
-        with pytest.raises(SpecError):
-            check(spec, kmatrix_for(spec, PARAMS), PARAMS)     # plain, not tilde
         with pytest.raises(SpecError):
             check(spec, kt, PARAMS.inverted_z())
         with pytest.raises(SpecError):
@@ -365,7 +398,7 @@ def _bumped(km):
     r, c, _ = first_entry(km.operator)
     op = km.operator.copy()
     op.add_to(r, c, Scalar(1, 0, 97))
-    return KMatrix(op, km.kind, km.gauge, km.z, km.n)
+    return KMatrix(op, km.kind, km.z, km.n)
 
 
 def assert_bumps_fail(check, inputs, names):
@@ -407,13 +440,13 @@ RECIPES = [pytest.param(spec, id=spec.fam.tag,
 @pytest.mark.parametrize("spec", RECIPES)
 def test_intertwining_negative_control(spec):
     assert_bumps_fail(lambda km: check_intertwining(spec, km, PARAMS),
-                      [spec_matrix(spec, PARAMS)], ["K b0 exchange"])
+                      [kmatrix_for(spec, PARAMS)], ["K b0 exchange"])
 
 
 @pytest.mark.parametrize("spec", RECIPES)
 def test_kh_commute_negative_control(spec):
     assert_bumps_fail(lambda km: check_kh_commute(spec, km, PARAMS),
-                      [spec_matrix(spec, PARAMS)], ["[K, H] = 0"])
+                      [kmatrix_for(spec, PARAMS)], ["[K, H] = 0"])
 
 
 def test_quasi_commutativity_arbitrary_coefficients():
@@ -429,7 +462,7 @@ def test_quasi_commutativity_arbitrary_coefficients():
     assert kop @ h == hinv @ kop
 
     spec = CoidealSpec(Family("D2", 2), 1, 2)
-    kop = gauge_tilde(build_kkk(1, 2, 2, PARAMS.z, PARAMS), PARAMS).operator
+    kop = gauge_tilde(build_kkk(1, 2, 2, PARAMS.z, PARAMS), PARAMS)
     bs = onsager_generators(spec, PARAMS)
     bs_inv = onsager_generators(spec, PARAMS.inverted_z())
     kappas = [Scalar(rng.randint(1, 9), 0, rng.randint(1, 7)) for _ in bs]
@@ -442,7 +475,7 @@ def test_multi_parameter_commutes_with_hamiltonian():
     zs = (Scalar(2), Scalar(3), Scalar(5))
     kv = vee(build_ktr_multi(zs, PARAMS), PARAMS)
     h = hamiltonian_multi(zs, PARAMS)
-    assert kv.operator @ h == h @ kv.operator
+    assert kv @ h == h @ kv
 
 
 def test_multi_parameter_normalization_and_support():
@@ -502,7 +535,7 @@ def test_solver_matches_build_bounded_families():
         spec = CoidealSpec(Family(tag, n), k, kp)
         ks = solve_intertwiner(spec, PARAMS)
         kb = build_kkk(k, kp, n, PARAMS.z, PARAMS)
-        assert ks.kind == (k, kp) and ks.gauge == "plain"
+        assert ks.kind == (k, kp)
         assert ks.operator == kb.operator, (tag, n, k, kp)
 
 
@@ -580,7 +613,7 @@ def test_solver_space_structure_both_even_boundaries():
         basis = solve_intertwiner_space(spec, PARAMS)
         assert len(basis) == 2
         dim = 1 << n
-        kt = gauge_tilde(build_kkk(2, 2, n, PARAMS.z, PARAMS), PARAMS).operator
+        kt = gauge_tilde(build_kkk(2, 2, n, PARAMS.z, PARAMS), PARAMS)
         pi = Operator(dim, dim)
         for a in range(dim):
             pi.set(a, a, ONE if popcount(a) % 2 == 0 else -ONE)
@@ -612,6 +645,23 @@ def test_solver_space_structure_cyclic():
     for piece in pieces:
         assert rank_rows(rows + [_flat(piece, dim)]) == 6
     assert rank_rows([_flat(p, dim) for p in pieces]) == 6
+
+
+def test_solver_gauge_forms_no_product(monkeypatch):
+    # the D2 (1,1) solve at n=4 removes the gauge entry by entry: with the
+    # two diagonal products it made 22
+    calls = []
+    matmul = Operator.__matmul__
+
+    def counted_matmul(a, b):
+        calls.append(None)
+        return matmul(a, b)
+
+    monkeypatch.setattr(Operator, "__matmul__", counted_matmul)
+    ks = solve_intertwiner(CoidealSpec(Family("D2", 4), 1, 1), PARAMS)
+    assert len(calls) == 20
+    monkeypatch.undo()
+    assert ks.operator == build_kkk(1, 1, 4, PARAMS.z, PARAMS).operator
 
 
 def test_solver_guard():

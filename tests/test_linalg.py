@@ -227,7 +227,7 @@ def test_bumped_boundary_k_fails_commutativity():
     r, c = max((r, c) for r, c, _ in bw.operator.entries())
     op = bw.operator.copy()
     op.add_to(r, c, Scalar(1, 0, 97))
-    failed = check_commutativity(*inputs[:3], KMatrix(op, bw.kind, bw.gauge, bw.z, n))
+    failed = check_commutativity(*inputs[:3], KMatrix(op, bw.kind, bw.z, n))
     assert [x.name for x in failed.failures()] == ["boundary kind commutes"]
 
 

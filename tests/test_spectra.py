@@ -435,7 +435,7 @@ def _patched_build(monkeypatch, label, change):
         km = real(k, kp, n, z, params)
         if (k, kp) != label:
             return km
-        return KMatrix(change(km.operator), km.kind, km.gauge, km.z, km.n)
+        return KMatrix(change(km.operator), km.kind, km.z, km.n)
 
     monkeypatch.setattr(spectra, "build_kkk", build)
 

@@ -5,12 +5,14 @@ import pytest
 from onsk.field import Scalar, make_params, sample_params
 from onsk.linalg import Operator
 from onsk.onsager import CoidealSpec, check_onsager_relations, onsager_generators
+from onsk.report import Report
 from onsk.spinrep import (
     _MIN_N,
     FAMILIES,
     Family,
     GeneratorSet,
     RangeError,
+    add_cartan_relations,
     check_defining_relations,
     generators,
     global_flip,
@@ -289,6 +291,29 @@ def test_serre_residual_matches_expanded_on_random_operators(seed):
     xs = [_random_operator(rng, dim) for _ in range(3)]
     p = Scalar(rng.randint(1, 9), rng.randint(-3, 3), rng.randint(2, 11))
     _assert_matches_expanded(xs, p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cartan_rows_match_serre_residual_per_pair(seed):
+    # a commuting pair's (j, i) row reuses the negated (i, j) residual; on
+    # random operators every row, witness included, equals its own residual
+    rng = random.Random(f"cartan:{seed}")
+    cartan = Family("D2", 3).cartan
+    assert 0 in cartan[0] and -1 in cartan[1] and -2 in cartan[0]
+    dim = rng.randint(2, 5)
+    xs = [_random_operator(rng, dim) for _ in cartan]
+    p = Scalar(rng.randint(1, 9), rng.randint(-3, 3), rng.randint(2, 11))
+    for inhomogeneous in (False, True):
+        got = Report()
+        add_cartan_relations(got, "x", xs, cartan, p, inhomogeneous)
+        want = Report()
+        for i, xi in enumerate(xs):
+            for j, xj in enumerate(xs):
+                if i != j:
+                    want.add_zero("", serre_residual(xi, xj, cartan[i][j], p, inhomogeneous))
+        assert [(c.status, c.detail) for c in got.checks] == \
+            [(c.status, c.detail) for c in want.checks]
+        assert any(c.detail for c in got.checks)
 
 
 def _bumped_at(xs, k, r, c):
