@@ -32,7 +32,7 @@ from .kmatrix import (ZeroNormalizer, build_kkk, build_ktr,
                       check_commutativity, check_intertwining,
                       check_kh_commute, check_unitarity, kmatrix_for)
 from .linalg import Operator
-from .onsager import (CoidealSpec, SpecError, ZeroParameter,
+from .onsager import (CoidealSpec, SpecError,
                       check_onsager_relations, check_routes_agree,
                       check_tl_relations, hamiltonian, onsager_generators)
 from .report import Report
@@ -59,12 +59,9 @@ _SUITE_FLAGS = {
     "sp4": ("trunc",),
 }
 
-# chain family -> eigenvalue family of its K matrix
-_SPECTRAL_TAG = {"A1": "tr", "D2": "k11", "B1": "k21", "BT1": "k12", "D1": "k22"}
-
 _CONFIG_ERRORS = (BadLiteral, DegenerateEigenvalues, GenericityError,
                   PoleError, RangeError, SpecError, TruncationMarginError,
-                  ZeroNormalizer, ZeroParameter, OSError)
+                  ZeroNormalizer, OSError)
 
 
 class ConfigError(ValueError):
@@ -242,7 +239,9 @@ def _spectral_reports(cfg: argparse.Namespace, params: Params, w: Scalar) -> lis
     if cfg.family is None:
         return spectrum_suite(cfg.n, params, w)
     fam = _family(cfg)
-    return spectrum_family(_SPECTRAL_TAG[fam.tag], fam.n, params, w)
+    # the eigenvalue family of the chain's K matrix: K_tr, or K_(r, r')
+    tag = "tr" if fam.tag == "A1" else f"k{fam.r}{fam.rp}"
+    return spectrum_family(tag, fam.n, params, w)
 
 
 def _spectral_checks(reports) -> Report:

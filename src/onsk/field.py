@@ -260,7 +260,7 @@ class Params:
     so p^2 = -q^(-2).  eps, mu are independent signs.
     """
 
-    __slots__ = ("t", "z", "eps", "mu", "qhalf", "q", "p")
+    __slots__ = ("t", "z", "eps", "mu", "q", "p")
 
     def __init__(self, t: Scalar, z: Scalar, eps: int, mu: int):
         if eps not in (1, -1) or mu not in (1, -1):
@@ -273,7 +273,6 @@ class Params:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "qhalf", I * mu * t)
         object.__setattr__(self, "q", -(t * t))
         object.__setattr__(self, "p", I * eps * (t ** -2))
 

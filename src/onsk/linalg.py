@@ -75,12 +75,16 @@ class Operator:
         return (self - other).is_zero()
 
     def __add__(self, other: "Operator") -> "Operator":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
         out = self.copy()
         for r, c, v in other.entries():
             out.add_to(r, c, v)
         return out
 
     def __sub__(self, other: "Operator") -> "Operator":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
         out = self.copy()
         for r, c, v in other.entries():
             out.add_to(r, c, -v)

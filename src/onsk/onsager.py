@@ -9,7 +9,7 @@ checked invariant, not an assumption.
 
 from __future__ import annotations
 
-from .field import Params, Scalar
+from .field import GenericityError, Params, Scalar
 from .linalg import Operator, commutator, first_entry
 from .report import Report
 from .spinrep import (Family, RangeError, add_cartan_relations, generators, global_flip,
@@ -21,10 +21,6 @@ TWO = Scalar(2, 0, 1)
 
 class SpecError(ValueError):
     """Boundary labels incompatible with the family."""
-
-
-class ZeroParameter(ValueError):
-    """A spectral parameter that must be invertible is zero."""
 
 
 class CoidealSpec:
@@ -254,13 +250,13 @@ def hamiltonian(spec: CoidealSpec, params: Params) -> Operator:
 
 def bond_parameters(zs) -> list:
     """One spectral parameter per bond as Scalars (ints and Fractions are
-    converted); a zero one raises ZeroParameter."""
+    converted); a zero one raises GenericityError."""
     zlist = []
     for v in zs:
         if not isinstance(v, Scalar):
             v = Scalar(v.numerator, 0, v.denominator)
         if v.is_zero():
-            raise ZeroParameter("bond parameters must be nonzero")
+            raise GenericityError("bond parameters must be nonzero")
         zlist.append(v)
     return zlist
 

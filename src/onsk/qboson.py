@@ -318,7 +318,9 @@ def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int,
     """Independent contraction value by truncated summation over Fock states.
 
     Returns (value, bound) with |value - exact| <= bound certified, bound <= target.
-    Requires real parameters with 0 < t^2 < 1 and 0 < xarg < 1.
+    Requires real parameters with 0 < t^2 < 1 and 0 < xarg < 1.  It is the
+    reference that tier-1 and perfbench's series workload compare
+    boundary_contract against; no CLI suite runs it.
     """
     t = _real(params.t, "t")
     zq = _real(nf.xarg, "marker argument")

@@ -11,11 +11,15 @@ The coproduct images delta/delta_op expand through two 4x4 letter
 matrices, and the boundary annihilation checks reduce each four-slot
 difference operator to a quadratic word in the t entries via a fixed
 operator dictionary before applying it to the product boundary vector.
+Each dictionary row, one-slot boundary operator and boundary series is
+written once, and every identity a report prints is rendered from the
+(sign, q exponent) monomials whose values it checks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 from .field import ONE, ZERO, Params, Scalar, _coerce
 from .linalg import pivot_columns
@@ -110,8 +114,8 @@ def _word_raise(word) -> int:
     return sum(1 for letter in word if letter.endswith("+"))
 
 
-def _word_shift(word) -> int:
-    return _word_raise(word) - sum(1 for letter in word if letter.endswith("-"))
+def _word_lower(word) -> int:
+    return sum(1 for letter in word if letter.endswith("-"))
 
 
 # nonzero entries (i, j) of the two 4x4 letter matrices, as
@@ -314,8 +318,68 @@ def ops_agree(a: TensorOp4, b: TensorOp4, M: int, params: Params) -> bool:
 
     groups: dict = {}
     for (_, words), item in zip(op.terms, _slot_items(op.terms, coefficients)):
-        groups.setdefault(tuple(_word_shift(w) for w in words), []).append(item)
+        groups.setdefault(tuple(_word_raise(w) - _word_lower(w) for w in words), []).append(item)
     return all(_pure_sum_zero(grp) for grp in groups.values())
+
+
+# ---------------------------------------------------------------------------
+# printed forms: every identity a report names is rendered from the
+# (sign, q exponent) monomials whose values it checks
+
+_PLUS, _MINUS = ((1, 0),), ((-1, 0),)
+
+
+def _sum_str(parts, gap: str) -> str:
+    """Signed sum of (sign, text) parts, gap on both sides of each inner sign."""
+    (sign, text), *rest = parts
+    return ("-" if sign < 0 else "") + text + "".join(
+        f"{gap}{'-' if s < 0 else '+'}{gap}{t}" for s, t in rest)
+
+
+def _product_str(e: int, factors) -> str:
+    """q^e times the factor texts, or 1 when both are absent."""
+    qpart = [] if e == 0 else ["q" if e == 1 else f"q^{e}"]
+    return "*".join(qpart + list(factors)) or "1"
+
+
+def _t_str(factors) -> list:
+    """Texts of t factors, a run of one factor as its power: t14^2."""
+    runs = [(f, len(list(run))) for f, run in groupby(factors)]
+    return [f"t{i}{j}" + (f"^{n}" if n > 1 else "") for (i, j), n in runs]
+
+
+def _poly_str(monos) -> str:
+    """t polynomial of (sign, q exponent, t factors) monomials: t14^2 - q^-3*t42*t13."""
+    return _sum_str([(s, _product_str(e, _t_str(factors))) for s, e, factors in monos], " ")
+
+
+def _coeff_str(coeff) -> str:
+    """Coefficient of (sign, q exponent) monomials, unspaced: 1+q^2."""
+    return _sum_str([(s, _product_str(e, ())) for s, e in coeff], "")
+
+
+def _op_str(terms) -> str:
+    """One-slot operator of (coefficient, word) terms: (a+ - a- + (1+q)*k)."""
+    parts = []
+    for coeff, word in terms:
+        letters = ("".join(word),) if word else ()
+        if len(coeff) > 1:  # a sum prints in parentheses before the word: (1+q)*k
+            coeff, letters = _PLUS, (f"({_coeff_str(coeff)})",) + letters
+        (s, e), = coeff
+        parts.append((s, _product_str(e, letters)))
+    return f"({_sum_str(parts, ' ')})"
+
+
+def _words_str(words) -> str:
+    return "*".join("".join(w) if w else "1" for w in words)
+
+
+def _coeff(coeff, params: Params) -> Scalar:
+    return sum((params.q ** e if s > 0 else -(params.q ** e) for s, e in coeff), ZERO)
+
+
+def _poly(monos, params: Params):
+    return [(_coeff(((s, e),), params), factors) for s, e, factors in monos]
 
 
 # ---------------------------------------------------------------------------
@@ -323,66 +387,31 @@ def ops_agree(a: TensorOp4, b: TensorOp4, M: int, params: Params) -> bool:
 
 _KK = ("k", "k")
 
-# (lhs words, lhs name, monomials as (sign, q exponent, t factors), rhs name)
+# (lhs words, rhs monomials as (sign, q exponent, t factors))
 _LEMMA = (
-    (((), _KK, ("K", "K"), ()), "1*kk*KK*1",
-     ((1, 0, ((1, 4), (1, 4))), (-1, -3, ((4, 2), (1, 3)))),
-     "t14^2 - q^-3*t42*t13"),
-    (((), ("k",), ("K",), ("k",)), "1*k*K*k",
-     ((-1, 0, ((1, 4),)),),
-     "-t14"),
-    (((), ("k",), ("K",), ("k",)), "1*k*K*k",
-     ((1, -4, ((4, 1),)),),
-     "q^-4*t41"),
-    ((("K",), _KK, ("K",), ()), "K*kk*K*1",
-     ((1, -1, ((2, 3), (1, 4))), (-1, 0, ((2, 4), (1, 3)))),
-     "q^-1*t23*t14 - t24*t13"),
-    (((), ("k",), ("K",), ("a+",)), "1*k*K*a+",
-     ((-1, -3, ((4, 2),)),),
-     "-q^-3*t42"),
-    (((), ("k",), ("K",), ("a-",)), "1*k*K*a-",
-     ((1, 0, ((1, 3),)),),
-     "t13"),
-    ((("A+",), _KK, ("K",), ()), "A+*kk*K*1",
-     ((-1, -5, ((3, 3), (4, 1))), (-1, 0, ((3, 4), (1, 3)))),
-     "-q^-5*t33*t41 - t34*t13"),
-    ((("A-",), _KK, ("K",), ()), "A-*kk*K*1",
-     ((1, 1, ((2, 2), (1, 4))), (1, -4, ((2, 1), (4, 2)))),
-     "q*t22*t14 + q^-4*t21*t42"),
-    (((), ("k", "a+"), ("K",), ()), "1*ka+*K*1",
-     ((1, 1, ((4, 4), (1, 3))), (1, -4, ((4, 3), (4, 1)))),
-     "q*t44*t13 + q^-4*t43*t41"),
-    (((), ("k", "a-"), ("K",), ()), "1*ka-*K*1",
-     ((-1, -3, ((4, 2), (1, 1))), (1, -4, ((4, 1), (1, 2)))),
-     "-q^-3*t42*t11 + q^-4*t41*t12"),
-    (((), _KK, ("K", "A+"), ()), "1*kk*KA+*1",
-     ((-1, -1, ((4, 4), (4, 1))), (-1, -2, ((4, 3), (4, 2)))),
-     "-q^-1*t44*t41 - q^-2*t43*t42"),
-    (((), _KK, ("K", "A-"), ()), "1*kk*KA-*1",
-     ((-1, -5, ((4, 1), (1, 1))), (1, -2, ((1, 2), (1, 3)))),
-     "-q^-5*t41*t11 + q^-2*t12*t13"),
+    (((), _KK, ("K", "K"), ()), ((1, 0, ((1, 4), (1, 4))), (-1, -3, ((4, 2), (1, 3))))),
+    (((), ("k",), ("K",), ("k",)), ((-1, 0, ((1, 4),)),)),
+    (((), ("k",), ("K",), ("k",)), ((1, -4, ((4, 1),)),)),
+    ((("K",), _KK, ("K",), ()), ((1, -1, ((2, 3), (1, 4))), (-1, 0, ((2, 4), (1, 3))))),
+    (((), ("k",), ("K",), ("a+",)), ((-1, -3, ((4, 2),)),)),
+    (((), ("k",), ("K",), ("a-",)), ((1, 0, ((1, 3),)),)),
+    ((("A+",), _KK, ("K",), ()), ((-1, -5, ((3, 3), (4, 1))), (-1, 0, ((3, 4), (1, 3))))),
+    ((("A-",), _KK, ("K",), ()), ((1, 1, ((2, 2), (1, 4))), (1, -4, ((2, 1), (4, 2))))),
+    (((), ("k", "a+"), ("K",), ()), ((1, 1, ((4, 4), (1, 3))), (1, -4, ((4, 3), (4, 1))))),
+    (((), ("k", "a-"), ("K",), ()), ((-1, -3, ((4, 2), (1, 1))), (1, -4, ((4, 1), (1, 2))))),
+    (((), _KK, ("K", "A+"), ()), ((-1, -1, ((4, 4), (4, 1))), (-1, -2, ((4, 3), (4, 2))))),
+    (((), _KK, ("K", "A-"), ()), ((-1, -5, ((4, 1), (1, 1))), (1, -2, ((1, 2), (1, 3))))),
 )
 
-_DICT: dict = {}
-for _words, _, _monos, _rstr in _LEMMA:
-    _DICT.setdefault(_words, (_monos, _rstr))
+# words -> monomials; of the two 1*k*K*k rows the first is the entry
+_DICT = dict(reversed(_LEMMA))
 
 # The 1*kk*K*1 word has no dictionary entry of its own.  Acting right of the
 # intertwiner on the (1,1) boundary vector it can be traded for KA+ + KK in
 # the third slot (the raising characterization fixes that slot), which the
 # dictionary then resolves through the 1*kk*KA+*1 and 1*kk*KK*1 rows.
 _X_WORDS = ((), _KK, ("K",), ())
-_ROW_KA, _ROW_KK = (_DICT[((), _KK, ("K", w), ())] for w in ("A+", "K"))
-_X_ENTRY = (_ROW_KA[0] + _ROW_KK[0], f"{_ROW_KA[1]} + {_ROW_KK[1]}")
-
-
-def _poly(monos, params: Params):
-    q = params.q
-    out = []
-    for s, e, factors in monos:
-        val = q ** e
-        out.append((val if s > 0 else -val, factors))
-    return out
+_X_ENTRY = _DICT[((), _KK, ("K", "A+"), ())] + _DICT[((), _KK, ("K", "K"), ())]
 
 
 def check_lemma_identities(params: Params, M: int) -> Report:
@@ -394,72 +423,58 @@ def check_lemma_identities(params: Params, M: int) -> Report:
     if M < 6:
         raise TruncationMarginError(f"need cutoff >= 6, got {M}")
     rep = Report(f"operator dictionary at cutoff {M}")
-    for lhs_words, lhs_name, monos, rhs_str in _LEMMA:
+    for lhs_words, monos in _LEMMA:
         lhs = TensorOp4.word(lhs_words)
         rhs = delta(_poly(monos, params), params)
         ok = ops_agree(lhs, rhs, M, params)
-        rep.add(f"{lhs_name} == delta({rhs_str})", ok, f"modes <= {M - 3}")
+        rep.add(f"{_words_str(lhs_words)} == delta({_poly_str(monos)})", ok, f"modes <= {M - 3}")
     return rep
 
 
 # ---------------------------------------------------------------------------
 # boundary vectors and annihilation
 
+# one-slot operators as (coefficient, word) terms, each coefficient a tuple
+# of (sign, q exponent) monomials: the raising and lowering
+# characterizations of eta1 and chi1, then the operators that kill each
+# boundary series
+_SLOT_OPS = {
+    ("raise", "eta1"): ((_PLUS, ("a+",)), (_MINUS, ()), (_PLUS, ("k",))),
+    ("raise", "chi1"): ((_PLUS, ("A+",)), (_MINUS, ()), (_PLUS, ("K",))),
+    ("lower", "eta1"): ((_PLUS, ("a-",)), (_MINUS, ()), (((-1, 1),), ("k",))),
+    ("lower", "chi1"): ((_PLUS, ("A-",)), (_MINUS, ()), (((-1, 2),), ("K",))),
+    ("kill", "eta1"): ((_PLUS, ("a+",)), (_MINUS, ("a-",)), (((1, 0), (1, 1)), ("k",))),
+    ("kill", "chi1"): ((_PLUS, ("A+",)), (_MINUS, ("A-",)), (((1, 0), (1, 2)), ("K",))),
+    ("kill", "eta2"): ((_PLUS, ("a+",)), (_MINUS, ("a-",))),
+    ("kill", "chi2"): ((_PLUS, ("A+",)), (_MINUS, ("A-",))),
+}
 
-class XiVector:
-    """Truncated product boundary vector: chi_r, eta_k, chi_r, eta_k.
-
-    slots holds the four slot models the factors were built in.
-    """
-
-    __slots__ = ("r", "k", "cutoff", "slots", "factors")
-
-    def __init__(self, r: int, k: int, cutoff: int, params: Params) -> None:
-        if (r, k) not in ((1, 1), (1, 2), (2, 2)):
-            raise RangeError(f"boundary labels must be (1,1), (1,2) or (2,2), got ({r}, {k})")
-        self.r = r
-        self.k = k
-        self.cutoff = cutoff
-        self.slots = _slots(params)
-        chi = self.slots[0].boundary(r, cutoff)
-        eta = self.slots[1].boundary(k, cutoff)
-        self.factors = (chi, eta, chi, eta)
-
-    def __repr__(self) -> str:
-        return f"XiVector(r={self.r}, k={self.k}, cutoff={self.cutoff})"
+# the four-slot words each boundary operator extends, with the slot it acts
+# in: chi_r in slots 1 and 3, eta_k in slots 2 and 4, in slots 3 and 2
+# after an extra K and k
+_PLACES = ((0, _X_WORDS), (1, ((), ("k",), ("K",), ())),
+           (2, _X_WORDS), (3, ((), ("k",), ("K",), ())))
 
 
-def _words_str(words) -> str:
-    return "*".join("".join(w) if w else "1" for w in words)
+def _series(params: Params, cutoff: int) -> dict:
+    """Each boundary series at a cutoff with its slot model: eta_k in F_q, chi_k in F_{q^2}."""
+    fq2, fq = _slots(params)[:2]
+    return {f"{name}{kind}": (slot, slot.boundary(kind, cutoff))
+            for name, slot in (("eta", fq), ("chi", fq2)) for kind in (1, 2)}
 
 
-def _boundary_ops(r: int, k: int, params: Params):
-    """The four difference operators annihilating the (r, k) boundary vector."""
-    q = params.q
-    # the chi_r operator acts in slots 1 and 3, the eta_k operator in slots
-    # 2 and 4; slots 3 and 2 carry it after an extra K and k
-    chi_op = [(ONE, "1", ("A+",)), (-ONE, "-1", ("A-",))]
-    eta_op = [(ONE, "1", ("a+",)), (-ONE, "-1", ("a-",))]
-    if r == 1:
-        chi_op.append((ONE + q * q, "1+q^2", ("K",)))
-        big = "(A+ - A- + (1+q^2)*K)"
-    else:
-        big = "(A+ - A-)"
-    if k == 1:
-        eta_op.append((ONE + q, "1+q", ("k",)))
-        small = "(a+ - a- + (1+q)*k)"
-    else:
-        small = "(a+ - a-)"
-    return (
-        (f"{big}*kk*K*1",
-         [(c, s, (w, _KK, ("K",), ())) for c, s, w in chi_op]),
-        (f"1*k{small}*K*1",
-         [(c, s, ((), ("k",) + w, ("K",), ())) for c, s, w in eta_op]),
-        (f"1*kk*K{big}*1",
-         [(c, s, ((), _KK, ("K",) + w, ())) for c, s, w in chi_op]),
-        (f"1*k*K*{small}",
-         [(c, s, ((), ("k",), ("K",), w)) for c, s, w in eta_op]),
-    )
+def _placed(words, slot: int, tail) -> tuple:
+    return words[:slot] + (words[slot] + tail,) + words[slot + 1:]
+
+
+def _boundary_ops(r: int, k: int):
+    """(name, terms) of the four operators annihilating the (r, k) boundary vector."""
+    ops = []
+    for slot, words in _PLACES:
+        op = _SLOT_OPS["kill", f"eta{k}" if slot % 2 else f"chi{r}"]
+        ops.append((_words_str(_placed(words, slot, (_op_str(op),))),
+                    [(c, _placed(words, slot, w)) for c, w in op]))
+    return ops
 
 
 def _derive_terms(terms, params: Params, allow_indirect: bool):
@@ -467,24 +482,25 @@ def _derive_terms(terms, params: Params, allow_indirect: bool):
     poly = []
     parts = []
     indirect = False
-    for coeff, cstr, words in terms:
-        entry = _DICT.get(words)
-        if entry is None:
+    for coeff, words in terms:
+        monos = _DICT.get(words)
+        if monos is None:
             if allow_indirect and words == _X_WORDS:
-                entry = _X_ENTRY
+                monos = _X_ENTRY
                 indirect = True
             else:
                 raise DerivationGap(f"no dictionary entry for {_words_str(words)}")
-        monos, rstr = entry
-        for cm, factors in _poly(monos, params):
-            poly.append((coeff * cm, factors))
-        parts.append(f"({cstr})*[{rstr}]")
+        c = _coeff(coeff, params)
+        poly.extend((c * cm, factors) for cm, factors in _poly(monos, params))
+        parts.append(f"({_coeff_str(coeff)})*[{_poly_str(monos)}]")
     return poly, " + ".join(parts), indirect
 
 
-def _kills_vector(op: TensorOp4, xi: XiVector, bound: int) -> bool:
+def _kills_vector(op: TensorOp4, factors, bound: int) -> bool:
+    """Whether op kills the product of four (slot model, series) factors up to mode bound."""
     def image(slot, word):
-        return xi.slots[slot].image(word, xi.factors[slot])[: bound + 1]
+        model, vec = factors[slot]
+        return model.image(word, vec)[: bound + 1]
 
     return _pure_sum_zero(_slot_items(op.simplified().terms, image))
 
@@ -495,37 +511,19 @@ def check_boundary_series(params: Params, M: int) -> Report:
     Each row's terms must kill its series on every component that no
     lowering letter reads from above the cutoff.
     """
-    q = params.q
-    fq2, fq = _slots(params)[:2]
-    series = {f"{name}{kind}": (slot, slot.boundary(kind, M))
-              for name, slot in (("eta", fq), ("chi", fq2)) for kind in (1, 2)}
-    lower_eta1 = ((ONE, ("a-",)), (-ONE, ()), (-q, ("k",)))
-    diff_eta2 = ((ONE, ("a+",)), (-ONE, ("a-",)))
-    rows = (
-        ("(a+ - 1 + k) annihilates eta1", "eta1",
-         ((ONE, ("a+",)), (-ONE, ()), (ONE, ("k",)))),
-        ("(A+ - 1 + K) annihilates chi1", "chi1",
-         ((ONE, ("A+",)), (-ONE, ()), (ONE, ("K",)))),
-        ("(a- - 1 - q*k) annihilates eta1", "eta1", lower_eta1),
-        ("(A- - 1 - q^2*K) annihilates chi1", "chi1",
-         ((ONE, ("A-",)), (-ONE, ()), (-(q * q), ("K",)))),
-        ("(a+ - a- + (1+q)*k) annihilates eta1", "eta1",
-         ((ONE, ("a+",)), (-ONE, ("a-",)), (ONE + q, ("k",)))),
-        ("(A+ - A- + (1+q^2)*K) annihilates chi1", "chi1",
-         ((ONE, ("A+",)), (-ONE, ("A-",)), (ONE + q * q, ("K",)))),
-        ("(a+ - a-) annihilates eta2", "eta2", diff_eta2),
-        ("(A+ - A-) annihilates chi2", "chi2",
-         ((ONE, ("A+",)), (-ONE, ("A-",)))),
-        # the lowering images of eta1 and eta2, restated as matches
-        ("a- on eta1 matches (1 + q*k) on eta1", "eta1", lower_eta1),
-        ("a- on eta2 matches a+ on eta2", "eta2", diff_eta2),
-    )
+    rows = [(f"{_op_str(terms)} annihilates {which}", which, terms)
+            for (_, which), terms in _SLOT_OPS.items()]
+    # the lowering images of eta1 and eta2, restated as matches
+    rows += [("a- on eta1 matches (1 + q*k) on eta1", "eta1", _SLOT_OPS["lower", "eta1"]),
+             ("a- on eta2 matches a+ on eta2", "eta2", _SLOT_OPS["kill", "eta2"])]
+    series = _series(params, M)
     rep = Report(f"boundary series at cutoff {M}")
     for name, which, terms in rows:
         slot, vec = series[which]
-        bound = M - max(sum(1 for letter in w if letter.endswith("-")) for _, w in terms)
+        bound = M - max(_word_lower(w) for _, w in terms)
         total = [ZERO] * (bound + 1)
-        for c, word in terms:
+        for coeff, word in terms:
+            c = _coeff(coeff, params)
             for m, x in enumerate(slot.image(word, vec)[: bound + 1]):
                 total[m] = total[m] + c * x
         rep.add(name, all(x.is_zero() for x in total), f"components <= {bound}")
@@ -537,7 +535,8 @@ def check_annihilation(r: int, k: int, params: Params, M: int) -> Report:
 
     Each difference operator resolves through the dictionary to a t
     polynomial T; the slot-reversed image of T must kill the product
-    boundary vector on all components with modes at most M - 3.
+    boundary vector chi_r, eta_k, chi_r, eta_k on all components with modes
+    at most M - 3.
     """
     if (r, k) not in ((1, 1), (1, 2), (2, 2)):
         raise RangeError(f"boundary labels must be (1,1), (1,2) or (2,2), got ({r}, {k})")
@@ -545,12 +544,11 @@ def check_annihilation(r: int, k: int, params: Params, M: int) -> Report:
         raise TruncationMarginError(f"need cutoff >= 10, got {M}")
     bound = M - 3
     rep = Report(f"boundary annihilation ({r},{k}) at cutoff {M}")
-    xi = XiVector(r, k, M, params)
-    allow_indirect = r == 1 and k == 1
-    for name, terms in _boundary_ops(r, k, params):
-        poly, tstr, indirect = _derive_terms(terms, params, allow_indirect)
-        dop = delta_op(poly, params)
-        ok = _kills_vector(dop, xi, bound)
+    series = _series(params, M)
+    factors = (series[f"chi{r}"], series[f"eta{k}"]) * 2
+    for name, terms in _boundary_ops(r, k):
+        poly, tstr, indirect = _derive_terms(terms, params, r == 1 and k == 1)
+        ok = _kills_vector(delta_op(poly, params), factors, bound)
         note = "indirect entry for 1*kk*K*1; " if indirect else ""
         rep.add(f"{name} annihilates Xi({r},{k})",
                 ok, f"{note}T = {tstr}; components <= {bound}")

@@ -237,6 +237,22 @@ def test_sp4_matches_golden_output(capsys):
                    "--seed", "0"))
 
 
+# sp4 suite reports saved from the CLI while every printed identity was
+# still typed beside the terms it checks
+SP4_GOLDEN = (
+    ("verify_sp4_trunc14_seed1.txt",
+     ("verify", "--suite", "sp4", "--trunc", "14", "--seed", "1")),
+    ("verify_sp4_trunc10_t1-2+1-3i_z2-7+1-5i.csv",
+     ("verify", "--suite", "sp4", "--trunc", "10", "--t", "1/2+1/3*i",
+      "--z", "2/7+1/5*i", "--format", "csv")),
+)
+
+
+@pytest.mark.parametrize("name, argv", SP4_GOLDEN, ids=[g[0] for g in SP4_GOLDEN])
+def test_sp4_matches_rendered_golden_output(capsys, name, argv):
+    assert_golden(capsys, name, argv)
+
+
 @pytest.mark.parametrize("argv, want", [
     (("verify", "--suite", "kmatrix", "--family", "A", "--n", "3"),
      {"build_ktr": 3, "build_kkk": 2}),

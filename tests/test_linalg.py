@@ -214,6 +214,11 @@ def test_product_shape_mismatch_raises():
         Operator(2, 3) @ Operator(2, 2)
     with pytest.raises(ValueError):
         mat([[1, 2]]) @ mat([[1, 2]])
+    # sums and differences refuse a shape mismatch the same way
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Operator(2) + Operator.identity(3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Operator(2) - Operator.identity(3)
 
 
 def test_bumped_boundary_k_fails_commutativity():

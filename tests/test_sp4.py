@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from onsk import sp4
 from onsk.field import ONE, ZERO, Scalar, make_params, parse_scalar, sample_params
 from onsk.poch import poch
 from onsk.qboson import _fock_tables
@@ -11,13 +12,15 @@ from onsk.sp4 import (
     DerivationGap,
     TensorOp4,
     TruncationMarginError,
+    _LEMMA,
     _PI_TABLE,
     _SLOT_LETTERS,
-    XiVector,
+    _SLOT_OPS,
     _boundary_ops,
     _derive_terms,
     _kills_vector,
     _pure_sum_zero,
+    _series,
     _Slot,
     _slot_items,
     _slots,
@@ -53,11 +56,11 @@ def _apply_basis(op, modes, params, cutoff):
     return {key: val for key, val in out.items() if not val.is_zero()}
 
 
-def _component(xi, modes):
-    """Component |m1..m4> of the product boundary vector xi."""
+def _component(factors, modes):
+    """Component |m1..m4> of the product of four (slot model, series) factors."""
     val = ONE
-    for i in range(4):
-        val = val * xi.factors[i][modes[i]]
+    for (_, vec), m in zip(factors, modes):
+        val = val * vec[m]
     return val
 
 
@@ -212,14 +215,18 @@ def test_truncation_margins():
         check_annihilation(2, 2, PARAMS, 9)
 
 
-def test_xi_vector():
-    xi = XiVector(2, 2, 6, PARAMS)
-    chi2 = xi.slots[0].boundary(2, 6)
-    eta2 = xi.slots[1].boundary(2, 6)
-    assert _component(xi, (2, 4, 0, 6)) == chi2[2] * eta2[4] * chi2[0] * eta2[6]
-    assert _component(xi, (1, 2, 2, 2)) == ZERO
-    with pytest.raises(RangeError):
-        XiVector(2, 1, 6, PARAMS)
+def test_series_helper():
+    # eta_k in the F_q slot model, chi_k in the F_{q^2} one, at the cutoff
+    series = _series(PARAMS, 6)
+    assert list(series) == ["eta1", "eta2", "chi1", "chi2"]
+    for name, (slot, vec) in series.items():
+        letters = _SLOT_LETTERS[1] if name.startswith("eta") else _SLOT_LETTERS[0]
+        assert slot.letters == letters
+        assert vec == slot.boundary(int(name[-1]), 6)
+    factors = (series["chi2"], series["eta2"]) * 2
+    chi2, eta2 = series["chi2"][1], series["eta2"][1]
+    assert _component(factors, (2, 4, 0, 6)) == chi2[2] * eta2[4] * chi2[0] * eta2[6]
+    assert _component(factors, (1, 2, 2, 2)) == ZERO
 
 
 def test_annihilation_reports():
@@ -242,10 +249,55 @@ def test_annihilation_reports():
 
 def test_annihilation_negative_control():
     # dropping the K completion must break the identity on Xi(1,2)
-    xi = XiVector(1, 2, 10, PARAMS)
-    _, terms = _boundary_ops(2, 2, PARAMS)[0]
+    series = _series(PARAMS, 10)
+    _, terms = _boundary_ops(2, 2)[0]
     poly, _, _ = _derive_terms(terms, PARAMS, False)
-    assert not _kills_vector(delta_op(poly, PARAMS), xi, 7)
+    assert not _kills_vector(delta_op(poly, PARAMS), (series["chi1"], series["eta2"]) * 2, 7)
+
+
+def test_lemma_sign_flip_renames_and_fails(monkeypatch):
+    # one monomial's sign flipped in one row: exactly that row's printed rhs
+    # changes, to the flipped polynomial, and exactly that row fails
+    base = [c.name for c in check_lemma_identities(PARAMS, 8).checks]
+    assert "A+*kk*K*1 == delta(-q^-5*t33*t41 - t34*t13)" in base
+    for row, (words, monos) in enumerate(_LEMMA):
+        for i, (s, e, factors) in enumerate(monos):
+            flipped = monos[:i] + ((-s, e, factors),) + monos[i + 1:]
+            rows = _LEMMA[:row] + ((words, flipped),) + _LEMMA[row + 1:]
+            monkeypatch.setattr(sp4, "_LEMMA", rows)
+            rep = check_lemma_identities(PARAMS, 8)
+            names = [c.name for c in rep.checks]
+            assert [n for n, b in zip(names, base) if n != b] == [names[row]]
+            assert [c.ok for c in rep.checks] == [r != row for r in range(12)]
+            if (row, i) == (6, 0):
+                assert names[row] == "A+*kk*K*1 == delta(q^-5*t33*t41 - t34*t13)"
+
+
+def test_slot_op_coefficient_renames_and_fails(monkeypatch):
+    # (1+q) -> (1+q^2) in the operator that kills eta1: its series row and
+    # the two Xi(1,1) rows that place it print the new coefficient, in the
+    # name and the T text, and fail; every other row is unchanged and passes
+    base_series = check_boundary_series(PARAMS, 10).checks
+    base = check_annihilation(1, 1, PARAMS, 10).checks
+    up, down, (_, diag) = _SLOT_OPS["kill", "eta1"]
+    monkeypatch.setitem(_SLOT_OPS, ("kill", "eta1"), (up, down, (((1, 0), (1, 2)), diag)))
+    series = check_boundary_series(PARAMS, 10).checks
+    changed = [(b.name, c.name) for b, c in zip(base_series, series) if b.name != c.name]
+    assert changed == [("(a+ - a- + (1+q)*k) annihilates eta1",
+                        "(a+ - a- + (1+q^2)*k) annihilates eta1")]
+    assert [c.name for c in series if not c.ok] == [changed[0][1]]
+    rep = check_annihilation(1, 1, PARAMS, 10).checks
+    assert [c.name for c in rep] == [
+        "(A+ - A- + (1+q^2)*K)*kk*K*1 annihilates Xi(1,1)",
+        "1*k(a+ - a- + (1+q^2)*k)*K*1 annihilates Xi(1,1)",
+        "1*kk*K(A+ - A- + (1+q^2)*K)*1 annihilates Xi(1,1)",
+        "1*k*K*(a+ - a- + (1+q^2)*k) annihilates Xi(1,1)"]
+    assert [c.ok for c in rep] == [True, False, True, False]
+    assert [(b.name, b.detail) == (c.name, c.detail) for b, c in zip(base, rep)] == [
+        True, False, True, False]
+    assert "(1+q)" in base[3].detail
+    assert rep[3].detail == base[3].detail.replace("(1+q)", "(1+q^2)")
+    assert rep[1].detail == base[1].detail.replace("(1+q)*", "(1+q^2)*")
 
 
 def test_characterization_negative_control(monkeypatch):
@@ -282,8 +334,9 @@ def test_complex_point():
 def test_annihilation_component_oracle():
     # recompute output components through the basis-image path: exact zeros
     # below the margin, nonzero truncation debris above it
-    xi = XiVector(2, 2, 10, PARAMS)
-    _, terms = _boundary_ops(2, 2, PARAMS)[3]
+    series = _series(PARAMS, 10)
+    factors = (series["chi2"], series["eta2"]) * 2
+    _, terms = _boundary_ops(2, 2)[3]
     poly, _, _ = _derive_terms(terms, PARAMS, False)
     dop = delta_op(poly, PARAMS)
     total = {}
@@ -291,7 +344,7 @@ def test_annihilation_component_oracle():
         for m2 in range(0, 6, 2):
             for m3 in range(0, 6, 2):
                 for m4 in range(0, 6, 2):
-                    comp = _component(xi, (m1, m2, m3, m4))
+                    comp = _component(factors, (m1, m2, m3, m4))
                     if comp.is_zero():
                         continue
                     for key, val in _apply_basis(dop, (m1, m2, m3, m4), PARAMS, 10).items():
@@ -304,7 +357,7 @@ def test_annihilation_component_oracle():
 
 def test_derivation_gap():
     with pytest.raises(DerivationGap):
-        _derive_terms([(ONE, "1", (("A+", "A+"), (), (), ()))], PARAMS, True)
+        _derive_terms([(((1, 0),), (("A+", "A+"), (), (), ()))], PARAMS, True)
 
 
 def _full_box_zero(items):

@@ -18,13 +18,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "onsk"
 
 _ROUTE = "paper route with no CLI suite yet; tier-1 proves it"
 _BENCH = "perfbench drives or patches it by name"
+_ORACLE = ("reference that tier-1 and perfbench's series workload compare "
+           "boundary_contract against; no CLI suite runs it")
 ALLOWED = {
     "kmatrix.solve_intertwiner": _ROUTE,
     "kmatrix.solve_intertwiner_space": _ROUTE,
     "kmatrix.build_ktr_multi": _ROUTE,
     "onsager.hamiltonian_multi": _ROUTE,
     "spectra.verify_tr_middle": _ROUTE,
-    "qboson.boundary_contract_oracle": _ROUTE,
+    "qboson.boundary_contract_oracle": _ORACLE,
     "qboson.QBosonEngine.mulseq": _BENCH,
     "linalg.Operator.dagger": _BENCH,
 }
