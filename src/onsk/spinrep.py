@@ -233,11 +233,15 @@ def serre_residual(xi: Operator, xj: Operator, aij: int, p: Scalar,
     (p + 1/p)^2 [xi, xj] from the quartic.  Any other entry raises
     ValueError.
     """
+    return _residual(xi, xj, xi @ xj, xj @ xi, aij, p, inhomogeneous)
+
+
+def _residual(xi, xj, xij, xji, aij, p, inhomogeneous):
+    """serre_residual from the products xij = xi xj and xji = xj xi."""
     if aij == 0:
-        return commutator(xi, xj)
+        return xij - xji
     if aij not in (-1, -2):
         raise ValueError(f"no relation for cartan entry {aij}")
-    xij, xji = xi @ xj, xj @ xi
     y = xij - xji.scale(p ** 2)
     if aij == -2:
         y = commutator(xi, y)
@@ -255,21 +259,21 @@ def add_cartan_relations(rep: Report, sym: str, xs, cartan, p: Scalar,
     """Add one serre_residual row per ordered pair i != j of the generators xs.
 
     Rows read "{sym}{i} {sym}{j} commute", "... cubic" or "... quartic";
-    the homogeneous cubic and quartic rows end in " Serre".  The (j, i)
-    row of a commuting pair is the negated (i, j) residual.
+    the homogeneous cubic and quartic rows end in " Serre".  The products
+    x_i x_j and x_j x_i are formed once per pair, for (i, j), and the
+    (j, i) row reuses them.
     """
-    commuting = {}
+    products = {}
     for i, xi in enumerate(xs):
         for j, xj in enumerate(xs):
             if i == j:
                 continue
-            aij = cartan[i][j]
-            if aij == 0 and (j, i) in commuting:
-                diff = -commuting.pop((j, i))
+            if (j, i) in products:
+                xji, xij = products.pop((j, i))
             else:
-                diff = serre_residual(xi, xj, aij, p, inhomogeneous)
-                if aij == 0:
-                    commuting[i, j] = diff
+                xij, xji = products[i, j] = xi @ xj, xj @ xi
+            aij = cartan[i][j]
+            diff = _residual(xi, xj, xij, xji, aij, p, inhomogeneous)
             name = _RELATION_NAMES[aij] + (" Serre" if aij and not inhomogeneous else "")
             rep.add_zero(f"{sym}{i} {sym}{j} {name}", diff)
 

@@ -165,7 +165,8 @@ def test_spectrum_subcommand(capsys):
 
 
 # Reports of the Lagrange-projector certificates that preceded the kernel
-# bases, saved from the CLI with elapsed_ms removed from the JSON.
+# bases, and (n=5) of the exactly eliminated kernel bases that preceded the
+# modular ones, saved from the CLI with elapsed_ms removed from the JSON.
 GOLDEN = (
     ("spectrum_n4_t37-41_z29-47_seed7.csv",
      ("spectrum", "--n", "4", "--t", "37/41", "--z", "29/47", "--seed", "7")),
@@ -176,6 +177,8 @@ GOLDEN = (
      ("spectrum", "--family", "D2", "--n", "3", "--format", "json", "--seed", "0")),
     ("spectrum_n3_seed0.json",
      ("spectrum", "--n", "3", "--seed", "0", "--format", "json")),
+    ("spectrum_n5_seed0.json",
+     ("spectrum", "--n", "5", "--seed", "0", "--format", "json")),
 )
 
 
@@ -284,12 +287,14 @@ def test_each_k_matrix_built_once(capsys, monkeypatch, argv, want):
 
 
 @pytest.mark.parametrize("suite, products, builds", [
-    ("defining-relations", 344, 0),
-    ("onsager", 82, 1),
+    ("defining-relations", 324, 0),
+    ("onsager", 72, 1),
 ])
 def test_relation_suites_count_products(capsys, monkeypatch, suite, products, builds):
     # D2 at n=5: computing each commuting pair's residual for (i, j) and
-    # again for (j, i) made 384 and 102 products
+    # again for (j, i) made 384 and 102 products; forming x_i x_j and
+    # x_j x_i again for the (j, i) row of a cubic or quartic pair made 344
+    # and 82
     import onsk.cli as cli
     import onsk.onsager as onsager
     calls = Counter()

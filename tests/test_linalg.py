@@ -1,10 +1,13 @@
 import ast
 import random
+import subprocess
+import sys
 from math import gcd
 from pathlib import Path
 
 import pytest
 
+from onsk import linalg
 from onsk.field import Scalar, make_params
 from onsk.kmatrix import KMatrix, build_kkk, build_ktr, check_commutativity
 from onsk.linalg import (
@@ -364,6 +367,118 @@ def test_kernel_rank_and_pivots_properties():
         rng.shuffle(again)
         assert kernel(again, ncols) == basis, seed
         assert pivot_columns(again) == pivots, seed
+
+
+def _real(rows):
+    return [{c: Scalar(x.a, 0, x.d) for c, x in row.items() if x.a} for row in rows]
+
+
+def test_kernel_equals_exact_elimination():
+    # the modular kernel against the exact echelon, on Gaussian-rational
+    # rows, their real parts, and both with rows repeated and reordered
+    for seed in range(40):
+        rng = random.Random(seed)
+        rows, ncols = _random_rows(rng)
+        for case in (rows, _real(rows)):
+            want = _nullspace(_pivots(case), ncols)
+            assert kernel(case, ncols) == want, seed
+            again = case + case[: rng.randint(0, len(case))]
+            rng.shuffle(again)
+            assert kernel(iter(again), ncols) == want, seed
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of each call of linalg.<name>."""
+    calls = []
+    real = getattr(linalg, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
+def _with_primes(monkeypatch, primes):
+    monkeypatch.setattr(linalg, "_primes", lambda: iter(primes))
+
+
+def test_primes():
+    first = [linalg._prime(k) for k in range(4)]
+    for p, r in first:
+        assert p % 4 == 1 and p.bit_length() == 62
+        assert r * r % p == p - 1
+        assert all(p % a for a in range(3, 2000, 2))
+    assert [p for p, _ in first] == sorted({p for p, _ in first}, reverse=True)
+    # nothing between the first two is a prime = 1 (mod 4)
+    assert not any(linalg._is_prime(x) for x in range(first[1][0] + 4, first[0][0], 4))
+    small = [n for n in range(200) if linalg._is_prime(n)]
+    assert small == [n for n in range(2, 200) if all(n % d for d in range(2, n))]
+    # Carmichael numbers and a strong pseudoprime to base 2
+    assert not any(linalg._is_prime(n) for n in (561, 41041, 825265, 2047))
+
+
+def test_no_prime_is_found_at_import():
+    code = ("import onsk.cli, onsk.linalg as l; "
+            "assert l._prime.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=SRC.parent)
+
+
+def test_kernel_skips_a_prime_that_divides_a_denominator(monkeypatch):
+    p1, _ = linalg._prime(0)
+    rows = [{0: Scalar(1, 0, p1), 1: Scalar(2)}, {0: Scalar(3), 1: Scalar(1, 1, 5), 2: ONE}]
+    images = _spy(monkeypatch, "_image")
+    assert kernel(rows, 3) == _nullspace(_pivots(rows), 3)
+    assert images and all(p != p1 for _, p, _, _ in images)
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    # minor 6 + p - 6 = 0 mod p: the free column moves from 2 to 1
+    (lambda p: [{0: Scalar(1), 1: Scalar(2), 2: Scalar(5)},
+                {0: Scalar(3), 1: Scalar(6 + p), 2: Scalar(7)}], 3),
+    # the second row vanishes mod p after the first: it is not kept, and
+    # the later primes confirm the kernel of the first row alone
+    (lambda p: [{0: Scalar(1), 1: Scalar(1)}, {0: Scalar(1), 1: Scalar(1 + p)}], 2),
+    # r + i maps to 2r under i -> r and to 0 under i -> -r
+    (lambda p: [{0: Scalar(linalg._prime(0)[1], 1)}, {0: Scalar(2), 1: ONE}], 2),
+])
+def test_kernel_from_a_prime_that_drops_the_rank(monkeypatch, rows, ncols):
+    bad = linalg._prime(0)
+    rows = rows(bad[0])
+    assert rank_rows(rows) == min(len(rows), ncols)
+    _with_primes(monkeypatch, [bad] + [linalg._prime(k) for k in range(1, 8)])
+    images = _spy(monkeypatch, "_image")
+    fallback = _spy(monkeypatch, "_nullspace")
+    want = _nullspace(_pivots(rows), ncols)
+    fallback.clear()
+    assert kernel(rows, ncols) == want
+    assert images[0][1] == bad[0] and not fallback
+
+
+def test_checked_basis_refuses_a_kernel_basis_that_is_not_canonical():
+    # (1, 1) spans the kernel of x0 = x1, but its last nonzero column is 1:
+    # normalised at column 0 it passes every row and still is refused
+    rows = [{0: ONE, 1: -ONE}]
+    assert linalg._checked_basis(rows, [(1, 1)], [1], [0], False) is None
+    assert linalg._checked_basis(rows, [(1, 1)], [0], [1], False) == [{1: ONE, 0: ONE}]
+    # a vector some row does not annihilate is refused
+    assert linalg._checked_basis(rows, [(2, 1)], [0], [1], False) is None
+
+
+def test_kernel_falls_back_when_the_primes_run_out(monkeypatch):
+    rows = [{0: Scalar(1, 2, 3), 1: Scalar(1, 0, 7)}, {1: Scalar(2, 0, 5), 2: Scalar(4)}]
+    want = _nullspace(_pivots(rows), 3)
+    fallback = _spy(monkeypatch, "_nullspace")
+    _with_primes(monkeypatch, [])
+    assert kernel(rows, 3) == want
+    assert len(fallback) == 1
+    # a single prime images the kernel but leaves nothing to confirm it by
+    fallback.clear()
+    _with_primes(monkeypatch, [linalg._prime(0)])
+    assert kernel([{0: Scalar(10 ** 40 + 1, 0, 10 ** 40 + 3), 1: ONE}], 2) == \
+        [{0: Scalar(-(10 ** 40 + 3), 0, 10 ** 40 + 1), 1: ONE}]
+    assert len(fallback) == 1
 
 
 def test_inverse_properties():
