@@ -277,7 +277,7 @@ def kernel(rows, ncols: int) -> list:
     """Basis of the right nullspace of the sparse rows, as sparse vectors.
 
     The basis is canonical: one vector per free column, in increasing
-    order, with 1 at its own free column and 0 at every other one, so the
+    order, with 1 at its own free column and 0 at every other one; the
     last nonzero column of each vector is its free column.  The free
     columns depend only on the row span, so the basis does not depend on
     the order of the rows or on repeated rows.
@@ -285,9 +285,10 @@ def kernel(rows, ncols: int) -> list:
     The basis is rebuilt from the canonical kernels mod primes, one
     vector per free column mod the first prime, and returned only after
     each vector has been checked exactly against every row.  The nullity
-    mod p is at least the nullity, and checked vectors with distinct free
-    columns are independent, so they span the kernel (_modular_kernel).
-    If the primes run out first, the rows are eliminated exactly.
+    mod p is at least the nullity, and checked vectors whose last nonzero
+    columns differ are independent, so they span the kernel
+    (_modular_kernel).  If the primes run out first, the rows are
+    eliminated exactly.
     """
     rows = [row for row in rows if row]
     basis = _modular_kernel(rows, ncols)
@@ -407,26 +408,26 @@ def _echelon_mod(rows, p: int):
 def _image(rows, p: int, roots, ncols: int):
     """The canonical kernel of integer rows mod p, one image per root r of -1.
 
-    Image r sends i to r.  Returns (kept, lead, residues): kept and the
-    ascending pivot columns lead come from the first image; residues
-    holds, vector after vector (one per free column, ascending), the
-    real part of each lead entry and then, with two images, the
-    imaginary parts.  None when the images have different pivots.
+    Image r sends i to r.  Returns (kept, lead, free, residues): kept,
+    the ascending pivot columns lead and the other columns free come
+    from the first image; residues holds, vector after vector (one per
+    free column), the real part of each lead entry and then, with two
+    images, the imaginary parts.  None when the images have different
+    pivots.
     """
-    images = []
+    echelons = []
     for r in roots:
         reduced = [{c: x for c, a, b in row if (x := (a + b * r) % p)} for row in rows]
-        pivots, kept = _echelon_mod(reduced, p)
-        if images and pivots.keys() != images[0][0].keys():
+        echelons.append(_echelon_mod(reduced, p))
+        if echelons[-1][0].keys() != echelons[0][0].keys():
             return None
-        images.append((pivots, kept))
-    lead = sorted(images[0][0])
+    first, kept = echelons[0]
+    lead = sorted(first)
+    free = [c for c in range(ncols) if c not in first]
     parts = []
-    for pivots, _ in images:
+    for pivots, _ in echelons:
         part = []
-        for f in range(ncols):
-            if f in pivots:
-                continue
+        for f in free:
             # back-substitution, as in _nullspace
             x = {f: 1}
             for u in reversed(lead):
@@ -444,7 +445,7 @@ def _image(rows, p: int, roots, ncols: int):
         for plus, minus in zip(*parts):
             residues += [(x + y) * half % p for x, y in zip(plus, minus)]
             residues += [(x - y) * half_r % p for x, y in zip(plus, minus)]
-    return images[0][1], lead, residues
+    return kept, lead, free, residues
 
 
 def _rationals(residues, m: int):
@@ -510,14 +511,12 @@ def _modular_kernel(rows, ncols: int):
             sub = None
             continue
         if sub is None:
-            kept, lead, residues = image
-            pivots = set(lead)
-            free = [c for c in range(ncols) if c not in pivots]
+            kept, lead, free, residues = image
             if not free:
                 return []
             sub, m = [ints[k] for k in kept], p
         else:
-            new = image[2]
+            new = image[3]
             if guess is not None and all((a - d * x) % p == 0 for (a, d), x in zip(guess, new)):
                 sub = None
                 continue
