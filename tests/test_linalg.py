@@ -426,23 +426,22 @@ def test_kernel_skips_a_prime_that_divides_a_denominator(monkeypatch):
 
 @pytest.mark.parametrize("rows, ncols", [
     # minor 6 + p - 6 = 0 mod p: the free column moves from 2 to 1
-    (lambda p: [{0: Scalar(1), 1: Scalar(2), 2: Scalar(5)},
-                {0: Scalar(3), 1: Scalar(6 + p), 2: Scalar(7)}], 3),
+    (lambda p, r: [{0: Scalar(1), 1: Scalar(2), 2: Scalar(5)},
+                   {0: Scalar(3), 1: Scalar(6 + p), 2: Scalar(7)}], 3),
     # the second row vanishes mod p after the first: it is not kept, and
-    # the later primes confirm the kernel of the first row alone
-    (lambda p: [{0: Scalar(1), 1: Scalar(1)}, {0: Scalar(1), 1: Scalar(1 + p)}], 2),
+    # the next prime reproduces the kernel of the first row alone
+    (lambda p, r: [{0: Scalar(1), 1: Scalar(1)}, {0: Scalar(1), 1: Scalar(1 + p)}], 2),
     # r + i maps to 2r under i -> r and to 0 under i -> -r
-    (lambda p: [{0: Scalar(linalg._prime(0)[1], 1)}, {0: Scalar(2), 1: ONE}], 2),
+    (lambda p, r: [{0: Scalar(r, 1)}, {0: Scalar(2), 1: ONE}], 2),
 ])
 def test_kernel_from_a_prime_that_drops_the_rank(monkeypatch, rows, ncols):
     bad = linalg._prime(0)
-    rows = rows(bad[0])
+    rows = rows(*bad)
     assert rank_rows(rows) == min(len(rows), ncols)
+    want = _nullspace(_pivots(rows), ncols)
     _with_primes(monkeypatch, [bad] + [linalg._prime(k) for k in range(1, 8)])
     images = _spy(monkeypatch, "_image")
     fallback = _spy(monkeypatch, "_nullspace")
-    want = _nullspace(_pivots(rows), ncols)
-    fallback.clear()
     assert kernel(rows, ncols) == want
     assert images[0][1] == bad[0] and not fallback
 
@@ -464,7 +463,7 @@ def test_kernel_falls_back_when_the_primes_run_out(monkeypatch):
     _with_primes(monkeypatch, [])
     assert kernel(rows, 3) == want
     assert len(fallback) == 1
-    # a single prime images the kernel but leaves nothing to confirm it by
+    # one 62-bit prime cannot rebuild a fraction of two 133-bit integers
     fallback.clear()
     _with_primes(monkeypatch, [linalg._prime(0)])
     assert kernel([{0: Scalar(10 ** 40 + 1, 0, 10 ** 40 + 3), 1: ONE}], 2) == \
