@@ -494,9 +494,11 @@ def _modular_kernel(rows, ncols: int):
     exactly its free columns, and one kernel vector has 1 at a given
     free column and 0 at the others.
 
-    A later prime whose pivots differ from the first's, or whose image
-    reproduces a basis that failed the check, shows that a prime dropped
-    the rank; the next prime then starts over.
+    A prime whose two images have different pivots is skipped, and so is
+    a later prime whose pivots differ from the first's.  A first prime
+    that drops the rank or moves a free column leaves more vectors, or
+    other last columns, than the kernel has, so no basis passes and the
+    primes run out into the exact echelon.
     """
     ints = [_integer_row(row) for row in rows]
     dens = {e for e, _ in ints if e > 1}
@@ -507,22 +509,19 @@ def _modular_kernel(rows, ncols: int):
         if any(e % p == 0 for e in dens):
             continue
         image = _image(ints if sub is None else sub, p, (r, p - r) if gaussian else (r,), ncols)
-        if image is None or (sub is not None and image[1] != lead):
-            sub = None
+        if image is None:
             continue
         if sub is None:
             kept, lead, free, residues = image
             if not free:
                 return []
             sub, m = [ints[k] for k in kept], p
+        elif image[1] != lead:
+            continue
         else:
-            new = image[3]
-            if guess is not None and all((a - d * x) % p == 0 for (a, d), x in zip(guess, new)):
-                sub = None
-                continue
             # CRT: the residue mod m*p that is u mod m and x mod p
             inv = pow(m, -1, p)
-            residues = [u + m * ((x - u) * inv % p) for u, x in zip(residues, new)]
+            residues = [u + m * ((x - u) * inv % p) for u, x in zip(residues, image[3])]
             m *= p
         guess = _rationals(residues, m)
         if guess is not None:

@@ -424,17 +424,20 @@ def test_kernel_skips_a_prime_that_divides_a_denominator(monkeypatch):
     assert images and all(p != p1 for _, p, _, _ in images)
 
 
-@pytest.mark.parametrize("rows, ncols", [
-    # minor 6 + p - 6 = 0 mod p: the free column moves from 2 to 1
+@pytest.mark.parametrize("rows, ncols, exact", [
+    # minor 6 + p - 6 = 0 mod p: the free column moves from 2 to 1, and
+    # every later prime, whose free column is 2, is skipped
     (lambda p, r: [{0: Scalar(1), 1: Scalar(2), 2: Scalar(5)},
-                   {0: Scalar(3), 1: Scalar(6 + p), 2: Scalar(7)}], 3),
+                   {0: Scalar(3), 1: Scalar(6 + p), 2: Scalar(7)}], 3, True),
     # the second row vanishes mod p after the first: it is not kept, and
-    # the next prime reproduces the kernel of the first row alone
-    (lambda p, r: [{0: Scalar(1), 1: Scalar(1)}, {0: Scalar(1), 1: Scalar(1 + p)}], 2),
-    # r + i maps to 2r under i -> r and to 0 under i -> -r
-    (lambda p, r: [{0: Scalar(r, 1)}, {0: Scalar(2), 1: ONE}], 2),
+    # later primes rebuild the kernel of the first row alone, which fails
+    # the check against the second
+    (lambda p, r: [{0: Scalar(1), 1: Scalar(1)}, {0: Scalar(1), 1: Scalar(1 + p)}], 2, True),
+    # r + i maps to 2r under i -> r and to 0 under i -> -r: the images'
+    # pivots differ, so the prime is skipped and the next one is first
+    (lambda p, r: [{0: Scalar(r, 1)}, {0: Scalar(2), 1: ONE}], 2, False),
 ])
-def test_kernel_from_a_prime_that_drops_the_rank(monkeypatch, rows, ncols):
+def test_kernel_from_a_prime_that_drops_the_rank(monkeypatch, rows, ncols, exact):
     bad = linalg._prime(0)
     rows = rows(*bad)
     assert rank_rows(rows) == min(len(rows), ncols)
@@ -443,7 +446,7 @@ def test_kernel_from_a_prime_that_drops_the_rank(monkeypatch, rows, ncols):
     images = _spy(monkeypatch, "_image")
     fallback = _spy(monkeypatch, "_nullspace")
     assert kernel(rows, ncols) == want
-    assert images[0][1] == bad[0] and not fallback
+    assert images[0][1] == bad[0] and len(fallback) == exact
 
 
 def test_checked_basis_refuses_a_kernel_basis_that_is_not_canonical():

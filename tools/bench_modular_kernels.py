@@ -61,7 +61,10 @@ print(json.dumps({"runs_s": runs, "dims": dims}))
 
 LAYERS = (("K11 eigenbasis kernels", "k11", ((4, 5), (5, 3), (6, 1))),
           ("D2 (1,1) exchange solve", "solve", ((4, 5), (5, 3))))
-PERFBENCH = "python3 perfbench/run.py --workload {w} --seed {s} --seconds {t} --trace 0"
+SECONDS = 40      # perfbench run length
+PAIRS = 10        # spectrum pairs at seed 0, the claimed metric
+OTHER_PAIRS = 3   # chain and series at seed 0, spectrum at seed 1
+PERFBENCH = f"python3 perfbench/run.py --workload {{w}} --seed {{s}} --seconds {SECONDS} --trace 0"
 
 
 def run(tree: Path, argv, env=None) -> dict:
@@ -77,8 +80,8 @@ def layer(tree: Path, what: str, n: int, reps: int) -> dict:
             "runs_s": [round(x, 4) for x in doc["runs_s"]], "dims": doc["dims"]}
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    argv = PERFBENCH.format(w=workload, s=seed, t=seconds).split()
+def perfbench(tree: Path, workload: str, seed: int) -> dict:
+    argv = PERFBENCH.format(w=workload, s=seed).split()
     return run(tree, [sys.executable] + argv[1:])
 
 
@@ -87,15 +90,14 @@ def summary(values) -> dict:
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4), "n": len(values)}
 
 
-def pairs(parent: Path, change: Path, workload: str, seed: int, count: int,
-          seconds: int) -> dict:
+def pairs(parent: Path, change: Path, workload: str, seed: int, count: int) -> dict:
     """count pairs of runs, the side run first alternating, parent first in pair 1."""
     rows = []
     for i in range(count):
         sides = [("parent", parent), ("change", change)]
         if i % 2:
             sides.reverse()
-        got = {name: perfbench(tree, workload, seed, seconds) for name, tree in sides}
+        got = {name: perfbench(tree, workload, seed) for name, tree in sides}
         rows.append(got)
         print(workload, seed, i, {k: v["metrics"]["ref_wall_s"]["value"] for k, v in got.items()},
               file=sys.stderr, flush=True)
@@ -118,10 +120,6 @@ def main() -> int:
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     ap.add_argument("--change", default=Path("."), type=Path, help="checkout of the change")
     ap.add_argument("--out", default=Path("BENCH_modular_kernels.json"), type=Path)
-    ap.add_argument("--seconds", default=40, type=int, help="perfbench run length")
-    ap.add_argument("--pairs", default=10, type=int, help="spectrum pairs at seed 0")
-    ap.add_argument("--other-pairs", default=3, type=int,
-                    help="pairs for chain and series at seed 0 and spectrum at seed 1")
     args = ap.parse_args()
     parent, change = args.parent.resolve(), args.change.resolve()
 
@@ -135,7 +133,7 @@ def main() -> int:
         "what": ("linalg.kernel from images mod 62-bit primes, rebuilt by CRT and rational "
                  "reconstruction and checked exactly, against the parent's exact elimination"),
         "commands": {
-            "untraced": PERFBENCH.format(w="W", s="S", t=args.seconds),
+            "untraced": PERFBENCH.format(w="W", s="S"),
             "layer": ("in process, PYTHONPATH=<tree>/src; 'K11 eigenbasis kernels': "
                       "linalg.kernel of K_(1,1)(z) - lam*I for lam = eval_lambda_k11(n, l, z), "
                       "l = 0..n, K built outside the timed region; 'D2 (1,1) exchange solve': "
@@ -161,10 +159,10 @@ def main() -> int:
                   flush=True)
         doc["layers"][name] = rows
     doc["perfbench"] = {
-        "spectrum_seed0": pairs(parent, change, "spectrum", 0, args.pairs, args.seconds),
-        "spectrum_seed1": pairs(parent, change, "spectrum", 1, args.other_pairs, args.seconds),
-        "chain_seed0": pairs(parent, change, "chain", 0, args.other_pairs, args.seconds),
-        "series_seed0": pairs(parent, change, "series", 0, args.other_pairs, args.seconds),
+        "spectrum_seed0": pairs(parent, change, "spectrum", 0, PAIRS),
+        "spectrum_seed1": pairs(parent, change, "spectrum", 1, OTHER_PAIRS),
+        "chain_seed0": pairs(parent, change, "chain", 0, OTHER_PAIRS),
+        "series_seed0": pairs(parent, change, "series", 0, OTHER_PAIRS),
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
