@@ -478,10 +478,9 @@ def _modular_kernel(rows, ncols: int):
 
     The rows are scaled to Gaussian integers and mapped to F_p for primes
     p = 1 (mod 4), i sent to +r and to -r with r^2 = -1 (to +r alone when
-    no entry is complex); a prime that divides a denominator is skipped.
-    The first prime keeps the rows that are independent mod p, and the
-    free columns of their echelon; later primes eliminate only the kept
-    rows.  The canonical kernels mod p are combined by CRT and rebuilt as
+    no entry is complex).  The first prime keeps the rows that are
+    independent mod p, and the free columns of their echelon; later primes
+    eliminate only the kept rows.  The canonical kernels mod p are combined by CRT and rebuilt as
     rationals (_rationals), and each rebuilt basis is checked exactly:
     every vector must be annihilated by every row and have its free
     column as its last nonzero column.
@@ -500,14 +499,10 @@ def _modular_kernel(rows, ncols: int):
     other last columns, than the kernel has, so no basis passes and the
     primes run out into the exact echelon.
     """
-    ints = [_integer_row(row) for row in rows]
-    dens = {e for e, _ in ints if e > 1}
-    gaussian = any(b for _, row in ints for _, _, b in row)
-    ints = [row for _, row in ints]
+    ints = [_integer_row(row)[1] for row in rows]
+    gaussian = any(b for row in ints for _, _, b in row)
     sub = None
     for p, r in _primes():
-        if any(e % p == 0 for e in dens):
-            continue
         image = _image(ints if sub is None else sub, p, (r, p - r) if gaussian else (r,), ncols)
         if image is None:
             continue

@@ -2,14 +2,15 @@
 
 Each conjectured decomposition is proved from exact kernel bases: for
 every closed-form eigenvalue lam the kernel of M - lam*I is computed with
-onsk.linalg.kernel, and every basis vector is checked to satisfy
-M v = lam v.  The eigenvalues are pairwise distinct, so when
-the checked counts sum to dim M the eigenspaces are a direct sum of the
-whole space; M is then diagonalisable, its annihilating polynomial
-vanishes and its spectral projectors are the Lagrange projectors, none of
-which has to be formed.  Shared projectors are equal eigenspaces, and a
-projector compressed to a parity sector is V (W^T V)^-1 W^T, with W the
-annihilator of the other eigenspaces.  All arithmetic is exact, so a
+onsk.linalg.kernel, whose exact check of every vector against every
+row of M - lam*I is the proof that M v = lam v.  The eigenvalues are
+pairwise distinct, so when the kernel dimensions sum to dim M the
+eigenspaces are a direct sum of the whole space; M is then
+diagonalisable, its annihilating polynomial vanishes and its spectral
+projectors are the Lagrange projectors, none of which has to be formed.
+Shared projectors are equal eigenspaces, and a projector compressed to a
+parity sector is V (W^T V)^-1 W^T, with W the annihilator of the other
+eigenspaces.  All arithmetic is exact, so a
 passing certificate is a proof for that parameter point.
 
 Certificates are proved at the caller's points: the spectral parameter
@@ -124,17 +125,6 @@ def _assert_distinct(lams, what: str, **point) -> None:
                     f"{what} eigenvalues {i} and {j} collide at {at}")
 
 
-def _eigenbasis(m: Operator, lam: Scalar) -> list:
-    """Basis of the kernel of m - lam*I, each vector checked to satisfy m v = lam v.
-
-    A vector only counts once one Operator.apply has shown m v = lam v
-    exactly.
-    """
-    shifted = m - Operator.identity(m.nrows).scale(lam)
-    return [v for v in kernel(shifted.rows.values(), m.ncols)
-            if m.apply(v) == ({c: lam * x for c, x in v.items()} if lam else {})]
-
-
 def _projector(vectors, others, dim: int):
     """Projector onto span(vectors) along span(others), or None.
 
@@ -159,21 +149,20 @@ def _projector(vectors, others, dim: int):
 class SpectralRow:
     """Certificate line for one eigenvalue."""
 
-    __slots__ = ("family", "n", "l", "j", "value", "annihilated", "rank", "expected")
+    __slots__ = ("family", "n", "l", "j", "value", "rank", "expected")
 
-    def __init__(self, family, n, l, j, value, annihilated, rank, expected):
+    def __init__(self, family, n, l, j, value, rank, expected):
         self.family = family
         self.n = n
         self.l = l
         self.j = j
         self.value = value
-        self.annihilated = annihilated
         self.rank = rank
         self.expected = expected
 
     @property
     def ok(self) -> bool:
-        return self.annihilated and self.rank == self.expected
+        return 0 < self.rank == self.expected
 
     def csv(self) -> str:
         j = "" if self.j is None else str(self.j)
@@ -219,31 +208,31 @@ def spectra_csv(reports) -> str:
 
 def _certify(rep: SpectralReport, family: str, m, lams, rows_meta) -> list:
     """Eigenspace certificate of one family, appended to rep; returns the
-    checked kernel bases.
+    kernel bases.
 
-    For each closed-form eigenvalue lam the kernel of m - lam*I is taken
-    exactly and every basis vector is checked to satisfy m v = lam v; the
-    row's observed count is the number of checked vectors, and the row is
-    annihilated when there is at least one.
+    For each closed-form eigenvalue lam the row's observed count is the
+    dimension of the kernel of m - lam*I.  linalg.kernel returns a basis
+    only after every row of m - lam*I has annihilated every vector
+    exactly, so each vector v is proved to satisfy m v = lam v there.
 
     The eigenvalues lams must be pairwise distinct; every caller asserts
     that with _assert_distinct before it builds m.  Eigenvectors of
-    distinct eigenvalues are linearly independent, so when the checked
-    counts sum to dim m the eigenspaces form a direct sum of the whole
-    space: m is diagonalisable with exactly these eigenvalues, each
-    multiplicity equals its count, the annihilating polynomial
-    prod (m - lam) vanishes, and the Lagrange projectors
+    distinct eigenvalues are linearly independent, so when the counts sum
+    to dim m the eigenspaces form a direct sum of the whole space: m is
+    diagonalisable with exactly these eigenvalues, each multiplicity
+    equals its count, the annihilating polynomial prod (m - lam)
+    vanishes, and the Lagrange projectors
     prod_{mu != lam} (m - mu)/(lam - mu) are the idempotent spectral
-    projectors onto the checked eigenspaces.  No Lagrange product is
+    projectors onto these eigenspaces.  No Lagrange product is
     formed.
     """
-    bases = [_eigenbasis(m, lam) for lam in lams]
     dim = m.nrows
+    bases = [kernel((m - Operator.identity(dim).scale(lam)).rows.values(), dim)
+             for lam in lams]
     rep.checks.add("annihilating polynomial", sum(map(len, bases)) == dim)
     total = 0
     for lam, basis, (l, j, expected) in zip(lams, bases, rows_meta):
-        rep.rows.append(SpectralRow(family, rep.n, l, j, lam,
-                                    bool(basis), len(basis), expected))
+        rep.rows.append(SpectralRow(family, rep.n, l, j, lam, len(basis), expected))
         total += expected
     rep.checks.add("multiplicity sum", total == dim,
                    f"expected dims sum to {total}, block has {dim}")

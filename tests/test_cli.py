@@ -164,6 +164,22 @@ def test_spectrum_subcommand(capsys):
     assert fams == {"k12", "k22"}
 
 
+def test_spectrum_applies_no_matrix_to_its_eigenvectors(capsys, monkeypatch):
+    # linalg.kernel's exact check proves each eigenvector, so no
+    # certificate applies the matrix to a kernel vector
+    calls = []
+    apply = Operator.apply
+
+    def counted_apply(op, vec):
+        calls.append(None)
+        return apply(op, vec)
+
+    monkeypatch.setattr(Operator, "apply", counted_apply)
+    rc, out, _ = run(capsys, "spectrum", "--n", "3")
+    assert rc == 0 and ",fail" not in out
+    assert calls == []
+
+
 # Reports of the Lagrange-projector certificates that preceded the kernel
 # bases, and (n=5) of the exactly eliminated kernel bases that preceded the
 # modular ones, saved from the CLI with elapsed_ms removed from the JSON.

@@ -416,12 +416,16 @@ def test_no_prime_is_found_at_import():
     subprocess.run([sys.executable, "-c", code], check=True, cwd=SRC.parent)
 
 
-def test_kernel_skips_a_prime_that_divides_a_denominator(monkeypatch):
+def test_kernel_uses_a_prime_that_divides_a_denominator(monkeypatch):
+    # the rows are scaled to integers before any reduction mod p, so a
+    # prime dividing a denominator images them like any other
     p1, _ = linalg._prime(0)
     rows = [{0: Scalar(1, 0, p1), 1: Scalar(2)}, {0: Scalar(3), 1: Scalar(1, 1, 5), 2: ONE}]
+    want = _nullspace(_pivots(rows), 3)
     images = _spy(monkeypatch, "_image")
-    assert kernel(rows, 3) == _nullspace(_pivots(rows), 3)
-    assert images and all(p != p1 for _, p, _, _ in images)
+    fallback = _spy(monkeypatch, "_nullspace")
+    assert kernel(rows, 3) == want
+    assert images[0][1] == p1 and not fallback
 
 
 @pytest.mark.parametrize("rows, ncols, exact", [

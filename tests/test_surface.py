@@ -29,6 +29,7 @@ ALLOWED = {
     "qboson.boundary_contract_oracle": _ORACLE,
     "qboson.QBosonEngine.mulseq": _BENCH,
     "linalg.Operator.dagger": _BENCH,
+    "linalg.Operator.apply": _BENCH,
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
