@@ -8,7 +8,6 @@ from .field import (
     make_params,
     parse_scalar,
     sample_params,
-    unit_circle_point,
 )
 
 __version__ = "0.1.0"
@@ -21,6 +20,5 @@ __all__ = [
     "make_params",
     "parse_scalar",
     "sample_params",
-    "unit_circle_point",
     "__version__",
 ]

@@ -245,14 +245,6 @@ def parse_scalar(text: str) -> Scalar:
         raise BadLiteral(f"cannot parse scalar literal {text!r}") from exc
 
 
-def unit_circle_point(a: int, b: int) -> Scalar:
-    """Rational point (a+bi)^2/(a^2+b^2) on the unit circle."""
-    if a == 0 and b == 0:
-        raise GenericityError("unit_circle_point needs (a, b) != (0, 0)")
-    w = Scalar(a, b)
-    return w * w / Scalar(a * a + b * b)
-
-
 class Params:
     """Parameter bundle: spectral point z, deformation t and the derived q, p.
 
@@ -302,25 +294,19 @@ def make_params(t, z, eps=1, mu=1) -> Params:
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def sample_params(seed, *, unit_z=False, contracting=False) -> Params:
+def sample_params(seed) -> Params:
     """Draw a reproducible generic parameter point.
 
-    contracting=True forces |q| < 1 and |z| < 1 (needed by the summed-series
-    oracle); unit_z=True puts z on the unit circle instead.
+    t and z are positive ratios of distinct primes below 50, and eps and mu
+    random signs.  Either of t and z may exceed 1: the summed-series
+    oracle's regime (0 < t^2, z < 1) is the draw with each value above 1
+    inverted.
     """
     # a string seed hashes stably, so draws are identical across processes
     rng = random.Random(f"onsk-params:{int(seed)}")
     pa, pb, pc, pd = rng.sample(_PRIMES, 4)
-    if contracting:
-        if pa > pb:
-            pa, pb = pb, pa
-        if pc > pd:
-            pc, pd = pd, pc
     t = Scalar(pa, 0, pb)
-    if unit_z:
-        z = unit_circle_point(pc, pd)
-    else:
-        z = Scalar(pc, 0, pd)
+    z = Scalar(pc, 0, pd)
     eps = rng.choice([1, -1])
     mu = rng.choice([1, -1])
     return Params(t, z, eps, mu)

@@ -57,10 +57,8 @@ class QBosonEngine:
     def one(self) -> NormalForm:
         return NormalForm({(0, 0, 0): ONE})
 
-    def term(self, i: int, m: int, j: int, coeff: Scalar = ONE) -> NormalForm:
-        if coeff.is_zero():
-            return NormalForm({})
-        return NormalForm({(i, m, j): coeff})
+    def term(self, i: int, m: int, j: int) -> NormalForm:
+        return NormalForm({(i, m, j): ONE})
 
     def ap(self) -> NormalForm:
         return self.term(1, 0, 0)
@@ -259,11 +257,14 @@ def boundary_contract(engine: QBosonEngine, nf: NormalForm, bra: int, ket: int) 
 
 # --- summed-series oracle -------------------------------------------------
 
-def _pb_lower(x: Fraction, terms: int = 25) -> Fraction:
+_TARGET = Fraction(1, 10 ** 25)
+
+
+def _pb_lower(x: Fraction) -> Fraction:
     """Certified rational lower bound for prod_{l>=1} (1 - x^l), 0 < x < 1."""
     head = Fraction(1)
     xl = Fraction(1)
-    for _ in range(terms):
+    for _ in range(25):
         xl *= x
         head *= 1 - xl
     rest = 1 - xl * x / (1 - x)
@@ -313,11 +314,11 @@ def _real(x: Scalar, what: str) -> Fraction:
     return x.re
 
 
-def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int,
-                             target: Fraction = Fraction(1, 10 ** 25)):
+def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int):
     """Independent contraction value by truncated summation over Fock states.
 
-    Returns (value, bound) with |value - exact| <= bound certified, bound <= target.
+    Returns (value, bound) with |value - exact| <= bound certified and
+    bound <= 1e-25 (`_TARGET`), a fixed target no caller can loosen.
     Requires real parameters with 0 < t^2 < 1 and 0 < xarg < 1.  It is the
     reference that tier-1 and perfbench's series workload compare
     boundary_contract against; no CLI suite runs it.
@@ -385,7 +386,7 @@ def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int,
             else:
                 value = nhat / dhat
                 bound = (en * abs(dhat) + abs(nhat) * ed) / (lbd * abs(dhat))
-        if bound is not None and bound <= target:
+        if bound is not None and bound <= _TARGET:
             return value, bound
         cutoff *= 2
         if cutoff > 20000:

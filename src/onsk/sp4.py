@@ -145,7 +145,7 @@ class TensorOp4:
         self.terms = tuple((c, w) for c, w in terms)
 
     @classmethod
-    def word(cls, words, coeff: Scalar = ONE) -> "TensorOp4":
+    def word(cls, words) -> "TensorOp4":
         if len(words) != 4:
             raise RangeError(f"need 4 slot words, got {len(words)}")
         tup = tuple(tuple(w) for w in words)
@@ -153,7 +153,7 @@ class TensorOp4:
             for letter in w:
                 if letter not in allowed:
                     raise RangeError(f"letter {letter!r} invalid in slot {slot + 1}")
-        return cls(((coeff, tup),))
+        return cls(((ONE, tup),))
 
     def __add__(self, other: "TensorOp4") -> "TensorOp4":
         return TensorOp4(self.terms + other.terms)

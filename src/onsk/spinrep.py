@@ -105,23 +105,17 @@ class Family:
 
 
 def local_spin(kind: str, site: int, n: int) -> Operator:
-    """One-site Pauli operator acting on the given tensor slot."""
+    """One-site spin operator sigma^kind, kind "+", "-" or "z", on the given slot."""
     if not 1 <= site <= n:
         raise RangeError(f"site {site} outside 1..{n}")
     dim = 1 << n
     op = Operator(dim, dim)
     mask = 1 << (site - 1)
     one = Scalar(1, 0, 1)
-    eye = Scalar(0, 1, 1)
     for alpha in range(dim):
         up = alpha & mask
         if kind == "z":
             op.set(alpha, alpha, one if up else -one)
-        elif kind == "x":
-            op.set(alpha ^ mask, alpha, one)
-        elif kind == "y":
-            # sigma^y = -i(sigma^+ - sigma^-)
-            op.set(alpha ^ mask, alpha, eye if up else -eye)
         elif kind == "+":
             if not up:
                 op.set(alpha | mask, alpha, one)

@@ -44,6 +44,8 @@ from onsk.sp4 import check_annihilation, check_boundary_series, check_lemma_iden
 from onsk.spectra import spectrum_family, spectrum_suite, verify_tr_middle
 from onsk.spinrep import Family, check_defining_relations, generators
 
+from points import contracting_params
+
 PARAMS = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7))
 
 NINE_BOUNDARY = (("D2", 1, 1), ("D2", 1, 2), ("D2", 2, 1), ("D2", 2, 2),
@@ -301,7 +303,7 @@ def test_09_boundary_vector_engine():
 
 def test_10_engine_vs_series_oracle():
     start = time.perf_counter()
-    params = sample_params(5, contracting=True)
+    params = contracting_params(5)
     eng = QBosonEngine(params)
     table = {"+": eng.ap, "-": eng.am, "k": eng.kdiag}
     rng = random.Random("onsk-acceptance:oracle")

@@ -13,8 +13,9 @@ from onsk.field import (
     make_params,
     parse_scalar,
     sample_params,
-    unit_circle_point,
 )
+
+from points import contracting_params, unit_circle_point, unit_z_params
 
 I = Scalar(0, 1, 1)
 
@@ -133,8 +134,9 @@ def test_sample_params_deterministic():
     assert (a.t, a.z, a.eps, a.mu) == (b.t, b.z, b.eps, b.mu)
     c = sample_params(12)
     assert (a.t, a.z) != (c.t, c.z)
-    u = sample_params(5, unit_z=True)
-    assert u.z * u.z.conj() == Scalar(1)
-    w = sample_params(5, contracting=True)
-    assert 0 < (w.t * w.t.conj()).re < 1
-    assert 0 < w.z.re < 1 and w.z.im == 0
+    for seed in (5, 11, 12):
+        u = unit_z_params(seed)
+        assert u.z * u.z.conj() == Scalar(1)
+        w = contracting_params(seed)
+        assert w.t.im == 0 and 0 < w.t.re ** 2 < 1
+        assert w.z.im == 0 and 0 < w.z.re < 1

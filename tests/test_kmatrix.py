@@ -37,6 +37,8 @@ from onsk.poch import poch
 from onsk.qboson import QBosonEngine, boundary_contract, boundary_contract_oracle
 from onsk.spinrep import Family, RangeError, global_flip, popcount
 
+from points import contracting_params
+
 PARAMS = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7))
 
 
@@ -729,7 +731,7 @@ def test_prefix_shared_builds_match_per_entry_words(t, z):
 
 
 def test_entries_recheck_against_oracle():
-    prm = sample_params(1, contracting=True)
+    prm = contracting_params(1)
     engine = QBosonEngine(prm)
     rng = random.Random(77)
     n, dim = 3, 8

@@ -21,6 +21,8 @@ from onsk.onsager import (
 )
 from onsk.spinrep import Family, RangeError, global_flip, local_spin
 
+from points import unit_z_params
+
 PARAMS = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7), eps=1, mu=1)
 
 
@@ -112,7 +114,7 @@ def test_single_node_displays():
 
     # tail with label 1: sx plus corrections with the opposite sz sign
     bn = pauli_generators(CoidealSpec(Family("D2", 2), 1, 1), params)[2]
-    want = (local_spin("x", 2, 2)
+    want = (local_spin("+", 2, 2) + local_spin("-", 2, 2)
             + local_spin("z", 2, 2).scale(c) - eye4.scale(const))
     assert bn == want
 
@@ -222,7 +224,7 @@ def test_hamiltonian_spin_flip_inverts_z():
 
 def test_hamiltonian_hermitian_on_circle():
     for seed in (0, 1):
-        params = sample_params(seed, unit_z=True)
+        params = unit_z_params(seed)
         h = hamiltonian(CoidealSpec(Family("A1", 3)), params)
         assert h == h.dagger()
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from onsk.field import PoleError, Scalar, make_params, sample_params
+from onsk.field import PoleError, Scalar, make_params
 from onsk.poch import poch
 from onsk.qboson import (
     NormalForm,
@@ -14,6 +14,8 @@ from onsk.qboson import (
     boundary_contract_oracle,
     eliminate_annihilators,
 )
+
+from points import contracting_params
 
 Z = Scalar(3, 0, 7)
 PARAMS = make_params(Scalar(2, 0, 5), Z)
@@ -217,7 +219,7 @@ def test_shared_engine_contractions_match_fresh_engines():
 
 def test_oracle_agrees_with_closed_forms():
     for seed in (1, 2):
-        params = sample_params(seed, contracting=True)
+        params = contracting_params(seed)
         eng = QBosonEngine(params)
         z = params.z
         for bra in (1, 2):
@@ -321,7 +323,7 @@ def test_oracle_tables_match_per_component_reference():
     # recomputation, so (value, bound) must be identical, not just close;
     # -+k normal-orders to two odd-weight terms (the odd (2,2) convention),
     # and t=1/3, z=1/2 needs one doubling of the cutoff
-    points = ((sample_params(1, contracting=True), ("-+k", "+-")),
+    points = ((contracting_params(1), ("-+k", "+-")),
               (make_params(Scalar(1, 0, 3), Scalar(1, 0, 2)), ("k",)))
     cutoffs = set()
     for params, words in points:
@@ -339,7 +341,7 @@ def test_oracle_tables_match_per_component_reference():
 def test_oracle_negative_control():
     # one normal-form coefficient bumped by 1/97: the certified interval
     # around the oracle value must exclude the exact contraction
-    params = sample_params(1, contracting=True)
+    params = contracting_params(1)
     eng = QBosonEngine(params)
     for bra, ket in ((1, 1), (1, 2), (2, 1), (2, 2)):
         nf = word(eng, params.z, "-+k")

@@ -158,7 +158,7 @@ def test_pi_matrix_entries():
 
 
 def test_tensor_word_validation_and_algebra():
-    op = TensorOp4.word((("A+",), ("k", "a+"), (), ("a-",)), coeff=Q)
+    op = TensorOp4.word((("A+",), ("k", "a+"), (), ("a-",))).scale(Q)
     assert op.raise_budget() == (1, 1, 0, 0)
     with pytest.raises(RangeError):
         TensorOp4.word((("k",), (), (), ()))

@@ -110,18 +110,19 @@ def test_local_spin_actions():
         local_spin("z", 0, 2)
     with pytest.raises(RangeError):
         local_spin("z", 3, 2)
-    with pytest.raises(RangeError):
-        local_spin("w", 1, 2)
+    for kind in ("w", "x", "y"):
+        with pytest.raises(RangeError):
+            local_spin(kind, 1, 2)
 
 
 def test_pauli_algebra():
     i = Scalar(0, 1, 1)
     for site, n in ((1, 2), (2, 3)):
-        x = local_spin("x", site, n)
-        y = local_spin("y", site, n)
         z = local_spin("z", site, n)
         sp = local_spin("+", site, n)
         sm = local_spin("-", site, n)
+        x = sp + sm
+        y = (sp - sm).scale(-i)
         dim = 1 << n
         eye = Operator.identity(dim)
         assert x @ x == eye and y @ y == eye and z @ z == eye
