@@ -273,39 +273,57 @@ def _pb_lower(x: Fraction) -> Fraction:
     return head * rest
 
 
-def _fock_tables(q: Fraction, zq: Fraction, bra: int, ket: int, top: int, qtop: int):
-    """Exact prefix tables for the oracle, each built in O(length) Fraction products.
+def _fock_sum(q: Fraction, zq: Fraction, bra: int, ket: int, wterms, cutoff: int) -> Fraction:
+    """Truncated Fock sum of <eta_bra| z^h word |eta_ket> over the states v <= cutoff.
 
-    Returns (qpow, zpow, poch2, ket_comps, bra_comps): q^n for n <= qtop
-    (qtop >= 2 * top), and zq^w, (q^2; q^2)_v and the boundary components
-    for v <= top.  The eta_ket component is 1/(b; b)_{v/ket} with
-    b = q^{ket^2}; the eta_bra component times (q^2; q^2)_v is (-q; q)_v
-    for bra 1 and (q^2; q^4)_{v/2} for bra 2.  Both vanish off multiples
-    of their kind.  The ket components are also the independent Fraction
-    reference for the boundary series of sp4's slot model (sp4._Slot).
+    A term (i, m, j, c) of the word gives, at w = v - j + i, the summand
+    c B_w zq^w q^(m(v-j)) (q^2; q^2)_v / ((q^2; q^2)_(v-j) K_v).  Here 1/K_v,
+    K_v = (b; b)_(v/ket) with b = q^(ket^2), is the eta_ket component of |v>,
+    and B_w, the eta_bra component times (q^2; q^2)_w, is (-q; q)_w for
+    bra 1 and (q^2; q^4)_(w/2) for bra 2; both vanish off multiples of
+    their kind.  With q = qn/qd each factor 1 - s q^e is (qd^e - s qn^e)/qd^e,
+    so the sum stays in plain ints, over a growing integer denominator and
+    a power of qd, until its one reduction.
     """
-    qpow = [Fraction(1)]
-    for _ in range(qtop):
-        qpow.append(qpow[-1] * q)
-    zpow = [Fraction(1)]
-    poch2 = [Fraction(1)]
-    for v in range(1, top + 1):
-        zpow.append(zpow[-1] * zq)
-        poch2.append(poch2[-1] * (1 - qpow[2 * v]))
+    qn, qd, zn, zd = q.numerator, q.denominator, zq.numerator, zq.denominator
 
-    def comps(kind, step):
-        out = [Fraction(1)] + [Fraction(0)] * top
-        for v in range(kind, top + 1, kind):
-            out[v] = out[v - kind] * step(v)
-        return out
+    def scaled(e, s=1):
+        return qd ** e - s * qn ** e
 
-    # b^{v/ket} = q^{ket v}
-    ket_comps = comps(ket, lambda v: 1 / (1 - qpow[ket * v]))
-    if bra == 1:
-        bra_comps = comps(1, lambda v: 1 + qpow[v])
-    else:
-        bra_comps = comps(2, lambda v: 1 - qpow[2 * v - 2])
-    return qpow, zpow, poch2, ket_comps, bra_comps
+    num, den = 0, 1
+    for i, m, j, c in wterms:
+        # the summand at v, less its window, is tn / (sd grow qd^e); those before sum to sn / (sd qd^se)
+        tn, grow, e = c.numerator, c.denominator, 0
+        sn, sd, se, x, y = 0, 1, 0, 0, 0
+        for v in range(j, cutoff + 1):
+            w = v - j + i
+            while x < v:
+                x += 1
+                if x % ket == 0:
+                    grow *= scaled(ket * x)
+                    e -= ket * x
+            while y < w:
+                y += 1
+                tn, grow = tn * zn, grow * zd
+                ey, s = (y, -1) if bra == 1 else (2 * y - 2, 1)
+                if y % bra == 0:
+                    tn *= scaled(ey, s)
+                    e += ey
+            if v > j:
+                tn *= qn ** m
+                e += m
+            if v % ket or w % bra:
+                continue
+            rn, te = tn, e
+            for u in range(v - j + 1, v + 1):
+                rn *= scaled(2 * u)
+                te += 2 * u
+            lift = max(te - se, 0)
+            sn = sn * grow * qd ** lift + rn * qd ** (se + lift - te)
+            sd, se, grow = sd * grow, se + lift, 1
+        sd *= qd ** se
+        num, den = num * sd + sn * den, den * sd
+    return Fraction(num, den)
 
 
 def _real(x: Scalar, what: str) -> Fraction:
@@ -318,7 +336,9 @@ def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int)
     """Independent contraction value by truncated summation over Fock states.
 
     Returns (value, bound) with |value - exact| <= bound certified and
-    bound <= 1e-25 (`_TARGET`), a fixed target no caller can loosen.
+    bound <= 1e-25 (`_TARGET`), a fixed target no caller can loosen.  Each
+    truncated sum is exact, summed in plain ints and reduced once
+    (`_fock_sum`); the cutoff starts at 64 and doubles up to 20000.
     Requires real parameters with 0 < t^2 < 1 and 0 < xarg < 1.  It is the
     reference that tier-1 and perfbench's series workload compare
     boundary_contract against; no CLI suite runs it.
@@ -340,23 +360,6 @@ def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int)
             raise TailBoundError("mixed weight parity in a (2,2) contraction")
         parity = pars.pop() if pars else 0
 
-    def word_sum(wterms, cutoff, tables):
-        qpow, zpow, poch2, ket_comps, bra_comps = tables
-        total = Fraction(0)
-        for i, m, j, c in wterms:
-            # exact matrix elements: z^h ap^i k^m am^j acting on |v>, where
-            # prod_{l<j} (1 - q^{2(v-l)}) = (q^2; q^2)_v / (q^2; q^2)_{v-j}
-            for v in range(j, cutoff + 1):
-                av = ket_comps[v]
-                if av == 0:
-                    continue
-                w = v - j + i
-                bw = bra_comps[w]
-                if bw == 0:
-                    continue
-                total += c * av * bw * zpow[w] * qpow[m * (v - j)] * (poch2[v] / poch2[v - j])
-        return total
-
     def word_tail(wterms, cutoff):
         tail = Fraction(0)
         geo = (zq ** (cutoff + 1)) / (1 - zq)
@@ -365,14 +368,10 @@ def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int)
         return tail
 
     unit = [(0, 0, 0, Fraction(1))]
-    climb = max([0] + [i - j for i, _, j, _ in terms])
-    mmax = max([0] + [m for _, m, _, _ in terms])
     cutoff = 64
     while True:
-        top = cutoff + climb
-        tables = _fock_tables(q, zq, bra, ket, top, max(2 * top, mmax * cutoff))
-        nhat = word_sum(terms, cutoff, tables)
-        dhat = word_sum(unit, cutoff, tables)
+        nhat = _fock_sum(q, zq, bra, ket, terms, cutoff)
+        dhat = _fock_sum(q, zq, bra, ket, unit, cutoff)
         en = word_tail(terms, cutoff)
         ed = word_tail(unit, cutoff)
         if parity == 1:

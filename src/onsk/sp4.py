@@ -43,9 +43,9 @@ class _Slot:
     """Fock slot at base deformation b: q for a+, a-, k and q^2 for A+, A-, K.
 
     raise |m> = |m+1>, lower |m> = (1 - b^(2m)) |m-1>, diag |m> = b^m |m>,
-    with every b^e read from one power table pw, grown on demand.  The ket
-    components of qboson._fock_tables, in Fraction arithmetic, are the
-    independent reference for the boundary series.
+    with every b^e read from one power table pw, grown on demand.  The
+    oracle tests' Fraction eta_ket components (`ket_comp` in
+    tests/test_qboson.py) are the independent reference for the boundary series.
     """
 
     __slots__ = ("letters", "pw")

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -244,9 +245,40 @@ def test_oracle_rejects_bad_regimes():
         boundary_contract_oracle(big_z, word(QBosonEngine(big_z), Scalar(2), "k"), 1, 1)
 
 
+# Each Fock component is formed from its own product, in Fraction
+# arithmetic; the cache only spares repeats across words and cutoffs.
+
+
+@functools.cache
+def ket_comp(q, kind, v):
+    """eta_kind component of |v>: 1/(b; b)_(v/kind), b = q^(kind^2); 0 off
+    multiples of kind."""
+    if v % kind:
+        return Fraction(0)
+    base = q ** (kind * kind)
+    out = Fraction(1)
+    cur = base
+    for _ in range(v // kind):
+        out *= 1 - cur
+        cur *= base
+    return 1 / out
+
+
+@functools.cache
+def bra_comp(q, kind, v):
+    """eta_kind component of <v| times (q^2; q^2)_v."""
+    out = ket_comp(q, kind, v)
+    q2 = q * q
+    cur = q2
+    for _ in range(v):
+        out *= 1 - cur
+        cur *= q2
+    return out
+
+
 def _reference_oracle(params, nf, bra, ket, target=Fraction(1, 10 ** 25)):
-    # the summed-series oracle with every Fock component recomputed per v,
-    # as written before the prefix tables; also returns the cutoff reached
+    # the summed-series oracle in Fraction arithmetic, with every Fock
+    # component formed per v; also returns the cutoff reached
     t = params.t.re
     zq = nf.xarg.re
     q = -t * t
@@ -258,35 +290,15 @@ def _reference_oracle(params, nf, bra, ket, target=Fraction(1, 10 ** 25)):
         assert len(pars) == 1
         parity = pars.pop()
 
-    def ket_comp(kind, v):
-        if v % kind:
-            return Fraction(0)
-        base = q ** (kind * kind)
-        out = Fraction(1)
-        cur = base
-        for _ in range(v // kind):
-            out *= 1 - cur
-            cur *= base
-        return 1 / out
-
-    def bra_comp(kind, v):
-        out = ket_comp(kind, v)
-        q2 = q * q
-        cur = q2
-        for _ in range(v):
-            out *= 1 - cur
-            cur *= q2
-        return out
-
     def word_sum(wterms, cutoff):
         total = Fraction(0)
         for i, m, j, c in wterms:
             for v in range(j, cutoff + 1):
-                av = ket_comp(ket, v)
+                av = ket_comp(q, ket, v)
                 if av == 0:
                     continue
                 w = v - j + i
-                bw = bra_comp(bra, w)
+                bw = bra_comp(q, bra, w)
                 if bw == 0:
                     continue
                 prod = Fraction(1)
@@ -319,11 +331,12 @@ def _reference_oracle(params, nf, bra, ket, target=Fraction(1, 10 ** 25)):
 
 
 def test_oracle_tables_match_per_component_reference():
-    # the prefix tables hold the same exact Fractions as the per-v
-    # recomputation, so (value, bound) must be identical, not just close;
+    # the integer sums are the same exact Fractions as the per-v Fraction
+    # components give, so (value, bound) must be identical, not just close;
     # -+k normal-orders to two odd-weight terms (the odd (2,2) convention),
-    # and t=1/3, z=1/2 needs one doubling of the cutoff
-    points = ((contracting_params(1), ("-+k", "+-")),
+    # ++k climbs two modes with a k power (i=2, m=1, j=0), and t=1/3,
+    # z=1/2 needs one doubling of the cutoff
+    points = ((contracting_params(1), ("-+k", "+-", "++k")),
               (make_params(Scalar(1, 0, 3), Scalar(1, 0, 2)), ("k",)))
     cutoffs = set()
     for params, words in points:

@@ -1,13 +1,11 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from onsk import sp4
 from onsk.field import ONE, ZERO, Scalar, make_params, parse_scalar, sample_params
 from onsk.poch import poch
-from onsk.qboson import _fock_tables
 from onsk.sp4 import (
     DerivationGap,
     TensorOp4,
@@ -32,6 +30,7 @@ from onsk.sp4 import (
     ops_agree,
 )
 from onsk.spinrep import RangeError
+from test_qboson import ket_comp
 
 PARAMS = make_params(Scalar(2, 0, 5), Scalar(3, 0, 7))
 Q = PARAMS.q
@@ -125,13 +124,13 @@ def test_boundary_vector_recurrences():
 
 
 def test_boundary_series_match_oracle_tables():
-    # the slot model's series against the independent Fraction tables of
-    # the q-boson oracle; the q2 base is the oracle at q^2
+    # the slot model's series against the independent Fraction components
+    # of the q-boson oracle's reference; the q2 base is that reference at q^2
     fq2, fq = _slots(PARAMS)[:2]
     q = Q.re
     for slot, oracle_q in ((fq, q), (fq2, q * q)):
         for kind in (1, 2):
-            ket = _fock_tables(oracle_q, Fraction(1, 2), 1, kind, 12, 24)[3]
+            ket = [ket_comp(oracle_q, kind, v) for v in range(13)]
             assert slot.boundary(kind, 12) == tuple(Scalar.from_fraction(x) for x in ket)
 
 
