@@ -34,12 +34,12 @@ from .kmatrix import (ZeroNormalizer, build_kkk, build_ktr,
 from .linalg import Operator
 from .onsager import (CoidealSpec, SpecError,
                       check_onsager_relations, check_routes_agree,
-                      check_tl_relations, hamiltonian, onsager_generators)
+                      check_tl_relations, hamiltonian, hamiltonian_kappa,
+                      onsager_generators)
 from .report import Report
 from .sp4 import (TruncationMarginError, check_annihilation, check_boundary_series,
                   check_lemma_identities)
-from .spectra import (DegenerateEigenvalues, spectra_csv, spectrum_family,
-                      spectrum_suite)
+from .spectra import DegenerateEigenvalues, spectrum_family, spectrum_suite
 from .spinrep import (ALIASES, Family, RangeError, check_defining_relations,
                       generators)
 
@@ -207,7 +207,7 @@ def _suite_defining(cfg: argparse.Namespace, params: Params) -> Report:
 def _suite_onsager(cfg: argparse.Namespace, params: Params) -> Report:
     spec = _coideal(cfg, _family(cfg))
     bs = onsager_generators(spec, params)
-    rep = Report("onsager suite")
+    rep = Report()
     rep.extend(check_routes_agree(spec, bs, params))
     rep.extend(check_onsager_relations(bs, spec.fam.cartan, params))
     if spec.fam.tag == "A1":
@@ -218,7 +218,10 @@ def _suite_onsager(cfg: argparse.Namespace, params: Params) -> Report:
 def _suite_kmatrix(cfg: argparse.Namespace, params: Params) -> Report:
     fam = _family(cfg)
     spec = _coideal(cfg, fam)
-    rep = Report("kmatrix suite")
+    # check_kh_commute needs the Hamiltonian recipe: a pair without one is
+    # refused here, before any matrix is built
+    hamiltonian_kappa(spec, params)
+    rep = Report()
     # each matrix is built right before its first use, dropped after its last
     km = kmatrix_for(spec, params)
     if fam.tag == "A1":
@@ -245,7 +248,7 @@ def _spectral_reports(cfg: argparse.Namespace, params: Params, w: Scalar) -> lis
 
 
 def _spectral_checks(reports) -> Report:
-    rep = Report("spectral certificates")
+    rep = Report()
     for sr in reports:
         for row in sr.rows:
             where = f"l={row.l}" if row.j is None else f"l={row.l} j={row.j}"
@@ -260,7 +263,7 @@ def _suite_sp4(cfg: argparse.Namespace, params: Params) -> Report:
     trunc = 10 if cfg.trunc is None else cfg.trunc
     if trunc < 10:
         raise ConfigError(f"the sp4 suite needs --trunc >= 10, got {trunc}")
-    rep = Report("sp4 suite")
+    rep = Report()
     rep.extend(check_lemma_identities(params, trunc))
     # the boundary series do not depend on the label: proved once, reported after each
     series = check_boundary_series(params, trunc)
@@ -278,7 +281,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         if getattr(cfg, flag) is not None and flag not in read:
             raise ConfigError(f"--{flag} is not read by the {cfg.suite} suite")
     params = resolved_params(cfg)
-    rep = Report(f"verify {cfg.suite}")
+    rep = Report()
     w = None
     for suite in wanted:
         if suite == "defining-relations":
@@ -294,10 +297,16 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         else:
             rep.extend(_suite_sp4(cfg, params))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    if cfg.format == "csv" and cfg.suite == "spectra":
-        text = spectra_csv(spectral)
+    if cfg.format == "json":
+        text = _json(_point_doc(cfg, cfg.suite, params, w,
+                                checks=_records(_CHECK_KEYS, _check_rows(rep.checks)),
+                                elapsed_ms=elapsed_ms))
+    elif cfg.format == "csv" and cfg.suite == "spectra":
+        text = _csv(_SPECTRAL_KEYS, _spectral_rows(spectral))
+    elif cfg.format == "csv":
+        text = _csv(_CHECK_KEYS, _check_rows(rep.checks))
     else:
-        text = _render_checks(cfg, rep, params, elapsed_ms, w)
+        text = _text(cfg, f"verify {cfg.suite}", rep)
     _emit(cfg, text)
     return _verdict(rep)
 
@@ -311,7 +320,25 @@ def _verdict(rep: Report) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering: every output format is written here and nowhere else
+
+# a JSON row's keys are its CSV table's header, in the same order
+_CHECK_KEYS = ("name", "status", "detail")
+_SPECTRAL_KEYS = ("n", "family", "l", "j", "value", "observed", "expected", "status")
+
+
+def _check_rows(checks) -> list:
+    return [(c.name, c.status, c.detail) for c in checks]
+
+
+def _spectral_rows(reports) -> list:
+    return [(row.n, row.family, row.l, row.j, format_scalar(row.value), row.rank,
+             row.expected, "pass" if row.ok else "fail")
+            for sr in reports for row in sr.rows]
+
+
+def _records(keys, rows) -> list:
+    return [dict(zip(keys, row)) for row in rows]
 
 
 def _params_dict(params: Params) -> dict:
@@ -319,42 +346,50 @@ def _params_dict(params: Params) -> dict:
             "eps": params.eps, "mu": params.mu}
 
 
-def _csv_field(s: str) -> str:
+def _point_doc(cfg: argparse.Namespace, suite: str, params: Params, w, **body) -> dict:
+    doc = {"suite": suite, "family": cfg.family, "n": cfg.n,
+           "params": _params_dict(params)}
+    if w is not None:
+        doc["w"] = format_scalar(w)
+    doc.update(body)
+    return doc
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _csv_field(x) -> str:
+    s = "" if x is None else str(x)
     if any(ch in s for ch in ',"\n'):
         return '"' + s.replace('"', '""') + '"'
     return s
 
 
-def _render_checks(cfg: argparse.Namespace, rep: Report, params: Params,
-                   elapsed_ms: int, w=None) -> str:
-    if cfg.format == "json":
-        doc = {"suite": cfg.suite or cfg.subcommand, "family": cfg.family,
-               "n": cfg.n, "params": _params_dict(params)}
-        if w is not None:
-            doc["w"] = format_scalar(w)
-        doc["checks"] = [c.to_dict() for c in rep.checks]
-        doc["elapsed_ms"] = elapsed_ms
-        return json.dumps(doc, indent=2) + "\n"
-    if cfg.format == "csv":
-        lines = ["name,status,detail"]
-        for c in rep.checks:
-            lines.append(",".join(
-                _csv_field(x) for x in (c.name, c.status, c.detail)))
-        return "\n".join(lines) + "\n"
-    head = [rep.title]
+def _csv(header, rows) -> str:
+    return _lines([",".join(header)] + [",".join(map(_csv_field, row)) for row in rows])
+
+
+def _text(cfg: argparse.Namespace, title: str, rep: Report) -> str:
+    head = [title]
     if cfg.family is not None:
         head.append(f"family={cfg.family}")
     if cfg.n is not None:
         head.append(f"n={cfg.n}")
     head.append(f"seed={cfg.seed}")
     lines = [" ".join(head)]
-    for c in rep.checks:
-        line = f"{c.status:>4}  {c.name}"
-        if c.detail:
-            line += f"  [{c.detail}]"
+    for name, status, detail in _check_rows(rep.checks):
+        line = f"{status:>4}  {name}"
+        if detail:
+            line += f"  [{detail}]"
         lines.append(line)
-    lines.append(rep.summary())
-    return "\n".join(lines) + "\n"
+    npass = sum(1 for c in rep.checks if c.ok)
+    lines.append(f"{npass}/{len(rep.checks)} checks passed")
+    return _lines(lines)
 
 
 def _emit(cfg: argparse.Namespace, text: str) -> None:
@@ -369,24 +404,9 @@ def _emit(cfg: argparse.Namespace, text: str) -> None:
 # dump
 
 
-def _sorted_entries(op: Operator) -> list:
-    return sorted(op.entries(), key=lambda e: (e[0], e[1]))
-
-
-def _render_dump(cfg: argparse.Namespace, meta: dict, op: Operator) -> str:
-    entries = _sorted_entries(op)
-    if cfg.format == "json":
-        doc = dict(meta)
-        doc["shape"] = [op.nrows, op.ncols]
-        doc["entries"] = [[r, c, format_scalar(v)] for r, c, v in entries]
-        return json.dumps(doc, indent=2) + "\n"
-    if cfg.format == "csv":
-        lines = ["row,col,value"]
-        lines += [f"{r},{c},{format_scalar(v)}" for r, c, v in entries]
-        return "\n".join(lines) + "\n"
-    lines = _dump_head(meta) + [f"# shape {op.nrows} x {op.ncols}, {len(entries)} entries"]
-    lines += [f"{r} {c} {format_scalar(v)}" for r, c, v in entries]
-    return "\n".join(lines) + "\n"
+def _entries(op: Operator) -> list:
+    """(row, col, value) of every nonzero entry, in row-major order."""
+    return sorted((r, c, format_scalar(v)) for r, c, v in op.entries())
 
 
 def _dump_head(meta: dict) -> list:
@@ -396,27 +416,31 @@ def _dump_head(meta: dict) -> list:
     return [f"# {head}", f"# params t={p['t']} z={p['z']} eps={p['eps']} mu={p['mu']}"]
 
 
-def _render_generators(cfg: argparse.Namespace, meta: dict, named: list) -> str:
+def _render_dump(cfg: argparse.Namespace, meta: dict, op: Operator) -> str:
+    entries = _entries(op)
     if cfg.format == "json":
-        doc = dict(meta)
-        doc["generators"] = [
-            {"name": name, "shape": [op.nrows, op.ncols],
-             "entries": [[r, c, format_scalar(v)]
-                         for r, c, v in _sorted_entries(op)]}
-            for name, op in named]
-        return json.dumps(doc, indent=2) + "\n"
+        return _json({**meta, "shape": [op.nrows, op.ncols], "entries": entries})
     if cfg.format == "csv":
-        lines = ["generator,row,col,value"]
-        for name, op in named:
-            lines += [f"{name},{r},{c},{format_scalar(v)}"
-                      for r, c, v in _sorted_entries(op)]
-        return "\n".join(lines) + "\n"
+        return _csv(("row", "col", "value"), entries)
+    return _lines(_dump_head(meta)
+                  + [f"# shape {op.nrows} x {op.ncols}, {len(entries)} entries"]
+                  + [" ".join(map(str, e)) for e in entries])
+
+
+def _render_generators(cfg: argparse.Namespace, meta: dict, named: list) -> str:
+    tables = [(name, op, _entries(op)) for name, op in named]
+    if cfg.format == "json":
+        return _json({**meta, "generators": [
+            {"name": name, "shape": [op.nrows, op.ncols], "entries": entries}
+            for name, op, entries in tables]})
+    if cfg.format == "csv":
+        return _csv(("generator", "row", "col", "value"),
+                    [(name, *e) for name, _, entries in tables for e in entries])
     lines = _dump_head(meta)
-    for name, op in named:
-        entries = _sorted_entries(op)
+    for name, _, entries in tables:
         lines.append(f"# generator {name}, {len(entries)} entries")
-        lines += [f"{r} {c} {format_scalar(v)}" for r, c, v in entries]
-    return "\n".join(lines) + "\n"
+        lines += [" ".join(map(str, e)) for e in entries]
+    return _lines(lines)
 
 
 def cmd_dump(cfg: argparse.Namespace) -> int:
@@ -456,22 +480,15 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     rep = _spectral_checks(reports)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     if cfg.format == "csv":
-        text = spectra_csv(reports)
+        text = _csv(_SPECTRAL_KEYS, _spectral_rows(reports))
     elif cfg.format == "json":
-        rows = []
-        for sr in reports:
-            for row in sr.rows:
-                rows.append({"n": row.n, "family": row.family, "l": row.l,
-                             "j": row.j, "value": format_scalar(row.value),
-                             "observed": row.rank, "expected": row.expected,
-                             "status": "pass" if row.ok else "fail"})
-        checks = [c.to_dict() for sr in reports for c in sr.checks.checks]
-        doc = {"suite": "spectrum", "family": cfg.family, "n": cfg.n,
-               "params": _params_dict(params), "w": format_scalar(w),
-               "rows": rows, "checks": checks, "elapsed_ms": elapsed_ms}
-        text = json.dumps(doc, indent=2) + "\n"
+        checks = _check_rows(c for sr in reports for c in sr.checks.checks)
+        text = _json(_point_doc(cfg, "spectrum", params, w,
+                                rows=_records(_SPECTRAL_KEYS, _spectral_rows(reports)),
+                                checks=_records(_CHECK_KEYS, checks),
+                                elapsed_ms=elapsed_ms))
     else:
-        text = _render_checks(cfg, rep, params, elapsed_ms)
+        text = _text(cfg, "spectral certificates", rep)
     _emit(cfg, text)
     return _verdict(rep)
 

@@ -222,7 +222,7 @@ def check_unitarity(kz: KMatrix, kinv: KMatrix) -> Report:
     n = kz.n
     _require(kz, "tr", n)
     _require(kinv, "tr", n, kz.z.inverse())
-    rep = Report(f"inversion relation n={n}")
+    rep = Report()
     eye = Operator.identity(1 << n)
     rep.add_zero("K(z) K(1/z) = id", kz.operator @ kinv.operator - eye)
     rep.add_zero("K(1/z) K(z) = id", kinv.operator @ kz.operator - eye)
@@ -244,7 +244,7 @@ def check_commutativity(kz: KMatrix, kw: KMatrix, bz: KMatrix, bw: KMatrix) -> R
         raise SpecError("commutativity needs two distinct spectral points")
     _require(bz, (1, 1), n, kz.z)
     _require(bw, (1, 1), n, kw.z)
-    rep = Report(f"K commutativity n={n}")
+    rep = Report()
     rep.add_zero("trace kind commutes", commutator(kz.operator, kw.operator))
     res = first_entry(commutator(bz.operator, bw.operator))
     rep.add("boundary kind commutes", res is None,
@@ -270,7 +270,7 @@ def check_intertwining(spec: CoidealSpec, km: KMatrix, params: Params) -> Report
     """Exchange relation K b_i = (b_i at inverted z) K for every node, for
     km = kmatrix_for(spec, params) and K its symmetrizing gauge if bounded."""
     _require_spec(spec, km, params)
-    rep = Report(f"exchange relations {spec!r}")
+    rep = Report()
     kop = km.operator if km.kind == "tr" else gauge_tilde(km, params)
     bs = onsager_generators(spec, params)
     bs_inv = onsager_generators(spec, params.inverted_z())
@@ -285,7 +285,7 @@ def check_kh_commute(spec: CoidealSpec, km: KMatrix, params: Params) -> Report:
     """The spin reversal of km = kmatrix_for(spec, params) commutes with the
     matching Hamiltonian."""
     _require_spec(spec, km, params)
-    rep = Report(f"K-H commutativity {spec!r}")
+    rep = Report()
     h = hamiltonian(spec, params)
     kv = vee(km, params)
     rep.add_zero("[K, H] = 0", commutator(kv, h))

@@ -378,8 +378,7 @@ def boundary_contract_oracle(params: Params, nf: NormalForm, bra: int, ket: int)
             value = nhat * dhat
             bound = en * abs(dhat) + abs(nhat) * ed + en * ed
         else:
-            lb_dhat = 2 * dhat * dhat / (1 + dhat * dhat)  # rational lower bound for |dhat|
-            lbd = lb_dhat - ed
+            lbd = abs(dhat) - ed        # |D| >= |dhat| - ed, dhat exact
             if lbd <= 0:
                 bound = None
             else:

@@ -1,4 +1,6 @@
-"""Pass/fail bookkeeping shared by the verification routines."""
+"""Pass/fail bookkeeping shared by the verification routines.
+
+Reports are plain records; onsk.cli renders them in every output format."""
 
 from __future__ import annotations
 
@@ -19,9 +21,6 @@ class CheckResult:
     def ok(self) -> bool:
         return self.status == "pass"
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
-
     def __repr__(self) -> str:
         return f"CheckResult({self.name!r}, {self.status!r})"
 
@@ -29,8 +28,7 @@ class CheckResult:
 class Report:
     """Ordered collection of check results."""
 
-    def __init__(self, title: str = "") -> None:
-        self.title = title
+    def __init__(self) -> None:
         self.checks: list[CheckResult] = []
 
     def add(self, name: str, ok: bool, detail: str = "") -> bool:
@@ -52,7 +50,3 @@ class Report:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.ok]
-
-    def summary(self) -> str:
-        npass = sum(1 for c in self.checks if c.ok)
-        return f"{npass}/{len(self.checks)} checks passed"

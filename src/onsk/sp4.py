@@ -422,7 +422,7 @@ def check_lemma_identities(params: Params, M: int) -> Report:
     """
     if M < 6:
         raise TruncationMarginError(f"need cutoff >= 6, got {M}")
-    rep = Report(f"operator dictionary at cutoff {M}")
+    rep = Report()
     for lhs_words, monos in _LEMMA:
         lhs = TensorOp4.word(lhs_words)
         rhs = delta(_poly(monos, params), params)
@@ -517,7 +517,7 @@ def check_boundary_series(params: Params, M: int) -> Report:
     rows += [("a- on eta1 matches (1 + q*k) on eta1", "eta1", _SLOT_OPS["lower", "eta1"]),
              ("a- on eta2 matches a+ on eta2", "eta2", _SLOT_OPS["kill", "eta2"])]
     series = _series(params, M)
-    rep = Report(f"boundary series at cutoff {M}")
+    rep = Report()
     for name, which, terms in rows:
         slot, vec = series[which]
         bound = M - max(_word_lower(w) for _, w in terms)
@@ -543,7 +543,7 @@ def check_annihilation(r: int, k: int, params: Params, M: int) -> Report:
     if M < 10:
         raise TruncationMarginError(f"need cutoff >= 10, got {M}")
     bound = M - 3
-    rep = Report(f"boundary annihilation ({r},{k}) at cutoff {M}")
+    rep = Report()
     series = _series(params, M)
     factors = (series[f"chi{r}"], series[f"eta{k}"]) * 2
     for name, terms in _boundary_ops(r, k):

@@ -164,12 +164,6 @@ class SpectralRow:
     def ok(self) -> bool:
         return 0 < self.rank == self.expected
 
-    def csv(self) -> str:
-        j = "" if self.j is None else str(self.j)
-        status = "pass" if self.ok else "fail"
-        return (f"{self.n},{self.family},{self.l},{j},{self.value},"
-                f"{self.rank},{self.expected},{status}")
-
 
 class SpectralReport:
     """Rows of eigenvalue certificates plus the structural side checks."""
@@ -180,7 +174,7 @@ class SpectralReport:
         self.family = family
         self.n = n
         self.rows: list[SpectralRow] = []
-        self.checks = Report(f"{family} spectrum n={n}")
+        self.checks = Report()
 
     @property
     def ok(self) -> bool:
@@ -189,17 +183,6 @@ class SpectralReport:
     def __repr__(self) -> str:
         state = "ok" if self.ok else "FAIL"
         return f"SpectralReport({self.family}, n={self.n}, {state})"
-
-
-CSV_HEADER = "n,family,l,j,value,observed,expected,status"
-
-
-def spectra_csv(reports) -> str:
-    lines = [CSV_HEADER]
-    for rep in reports:
-        for row in rep.rows:
-            lines.append(row.csv())
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

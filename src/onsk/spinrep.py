@@ -274,7 +274,7 @@ def add_cartan_relations(rep: Report, sym: str, xs, cartan, p: Scalar,
 
 def check_defining_relations(fam: Family, gens: GeneratorSet, params: Params) -> Report:
     """Verify k-conjugation, e-f commutators and all Serre relations exactly."""
-    rep = Report(f"defining relations {fam.tag} n={fam.n}")
+    rep = Report()
     p = params.p
     m = fam.nprime + 1
     a = fam.cartan

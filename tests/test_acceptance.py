@@ -130,7 +130,7 @@ def test_02_defining_relations_all_families():
             for n in sizes:
                 fam = Family(tag, n)
                 rep = check_defining_relations(fam, generators(fam, prm), prm)
-                assert rep.passed, (tag, n, rep.summary())
+                assert rep.passed, (tag, n, rep.failures())
                 total += len(rep.checks)
     _done(2, f"defining relations, {total} checks", start, budget=30.0)
 
@@ -143,9 +143,9 @@ def test_03_coideal_relations_and_routes():
     for spec in specs:
         bs = onsager_generators(spec, PARAMS)
         rep = check_routes_agree(spec, bs, PARAMS)
-        assert rep.passed, (repr(spec), rep.summary())
+        assert rep.passed, (repr(spec), rep.failures())
         rep = check_onsager_relations(bs, spec.fam.cartan, PARAMS)
-        assert rep.passed, (repr(spec), rep.summary())
+        assert rep.passed, (repr(spec), rep.failures())
     _done(3, "coideal relations on ten generator sets", start, budget=60.0)
 
 
@@ -154,12 +154,12 @@ def test_04_inversion_and_commutativity():
     z = PARAMS.z
     for n in range(1, 6):
         rep = check_unitarity(build_ktr(n, z, PARAMS), build_ktr(n, z.inverse(), PARAMS))
-        assert rep.passed, (n, rep.summary())
+        assert rep.passed, (n, rep.failures())
     w = sample_params(1).z
     for n in range(2, 6):
         rep = check_commutativity(build_ktr(n, z, PARAMS), build_ktr(n, w, PARAMS),
                                   build_kkk(1, 1, n, z, PARAMS), build_kkk(1, 1, n, w, PARAMS))
-        assert rep.passed, (n, rep.summary())
+        assert rep.passed, (n, rep.failures())
     # same-label boundary matrices commute exactly; the honest negative
     # statement is for mixed labels
     a = build_kkk(1, 1, 2, PARAMS.z, PARAMS).operator
@@ -188,7 +188,7 @@ def test_05_exchange_relations_and_hamiltonians():
               for tag, k, kp in NINE_BOUNDARY]
     for spec in specs:
         rep = check_intertwining(spec, kmatrix_for(spec, PARAMS), PARAMS)
-        assert rep.passed, (repr(spec), rep.summary())
+        assert rep.passed, (repr(spec), rep.failures())
     recipes = [CoidealSpec(Family("A1", 3)),
                CoidealSpec(Family("D2", 2), 1, 1),
                CoidealSpec(Family("B1", 3), 2, 1),
@@ -196,7 +196,7 @@ def test_05_exchange_relations_and_hamiltonians():
                CoidealSpec(Family("D1", 3), 2, 2)]
     for spec in recipes:
         rep = check_kh_commute(spec, kmatrix_for(spec, PARAMS), PARAMS)
-        assert rep.passed, (repr(spec), rep.summary())
+        assert rep.passed, (repr(spec), rep.failures())
     zs = (Scalar(2), Scalar(3), Scalar(5))
     kv = vee(build_ktr_multi(zs, PARAMS), PARAMS)
     h = hamiltonian_multi(zs, PARAMS)
@@ -284,19 +284,19 @@ def test_08_temperley_lieb():
     start = time.perf_counter()
     for n in (3, 4, 5, 6):
         rep = check_tl_relations(n, PARAMS)
-        assert rep.passed, (n, rep.summary())
+        assert rep.passed, (n, rep.failures())
     _done(8, "Temperley-Lieb relations, n <= 6", start)
 
 
 def test_09_boundary_vector_engine():
     start = time.perf_counter()
     rep = check_lemma_identities(PARAMS, 8)
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.failures()
     assert len(rep.checks) == 12
     assert check_boundary_series(PARAMS, 10).passed
     for r, k in ((1, 1), (1, 2), (2, 2)):
         rep = check_annihilation(r, k, PARAMS, 10)
-        assert rep.passed, ((r, k), rep.summary())
+        assert rep.passed, ((r, k), rep.failures())
     _done(9, "operator dictionary and boundary annihilation", start,
           budget=120.0)
 

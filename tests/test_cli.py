@@ -206,11 +206,49 @@ def test_spectrum_matches_golden_output(capsys, name, argv):
 def assert_golden(capsys, name, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and err == ""
-    if name.endswith(".json"):
+    # verify and spectrum documents end with their wall-clock timing; dumps have none
+    if name.endswith(".json") and argv[0] != "dump":
         doc = json.loads(out)
         assert isinstance(doc.pop("elapsed_ms"), int)
         out = json.dumps(doc, indent=2) + "\n"
     assert out == (DATA / name).read_text()
+
+
+# one report per output format that no other golden covers, saved from the
+# CLI while spectra still wrote its own CSV and every Report had a title
+FORMAT_GOLDEN = (
+    ("verify_spectra_D1_n3_seed0.csv",
+     ("verify", "--suite", "spectra", "--family", "D1", "--n", "3", "--format", "csv",
+      "--seed", "0")),
+    ("spectrum_BT1_n3_seed0.txt",
+     ("spectrum", "--family", "BT1", "--n", "3", "--format", "text", "--seed", "0")),
+) + tuple(
+    (f"dump_kmatrix_D2_n3_k2_kp2_seed0.{ext}",
+     ("dump", "kmatrix", "--family", "D2", "--n", "3", "--k", "2", "--kp", "2",
+      "--format", fmt, "--seed", "0"))
+    for fmt, ext in (("json", "json"), ("text", "txt"))) + tuple(
+    (f"dump_generators_B1_n3_seed0.{ext}",
+     ("dump", "generators", "--family", "B1", "--n", "3", "--format", fmt, "--seed", "0"))
+    for fmt, ext in (("text", "txt"), ("json", "json"), ("csv", "csv")))
+
+
+@pytest.mark.parametrize("name, argv", FORMAT_GOLDEN, ids=[g[0] for g in FORMAT_GOLDEN])
+def test_format_matches_golden_output(capsys, name, argv):
+    assert_golden(capsys, name, argv)
+
+
+def test_spectral_csv_lines_are_the_json_rows(capsys):
+    # the CSV header is the JSON row keys, and each line holds its row's values
+    args = ("spectrum", "--n", "2", "--seed", "3")
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0
+    rows = json.loads(run(capsys, *args, "--format", "json")[1])["rows"]
+    lines = out.strip().split("\n")
+    assert lines[0] == ",".join(rows[0]) == "n,family,l,j,value,observed,expected,status"
+    assert len(lines) == len(rows) + 1
+    assert all(line.count(",") == lines[0].count(",") for line in lines)
+    assert lines[1:] == [",".join("" if v is None else str(v) for v in row.values())
+                         for row in rows]
 
 
 # kmatrix suite reports and K matrix dumps saved from the CLI while every
@@ -480,7 +518,7 @@ def test_failing_check_exits_1_and_names_it(capsys, monkeypatch):
     import onsk.cli as cli
 
     def broken(kz, kinv):
-        rep = Report("inversion relation")
+        rep = Report()
         rep.add("K(z) K(1/z) = id", False, "forced failure")
         return rep
 
@@ -490,6 +528,22 @@ def test_failing_check_exits_1_and_names_it(capsys, monkeypatch):
     assert rc == 1
     assert "FAIL: K(z) K(1/z) = id" in err
     assert "fail" in out
+
+
+def test_kmatrix_suite_refuses_a_pair_without_recipe_before_any_work(capsys, monkeypatch):
+    import onsk.cli as cli
+    import onsk.kmatrix as kmatrix
+
+    def built(*args):
+        raise AssertionError("a K matrix or generator set was built")
+
+    for mod, name in ((cli, "kmatrix_for"), (cli, "build_ktr"), (cli, "build_kkk"),
+                      (kmatrix, "onsager_generators")):
+        monkeypatch.setattr(mod, name, built)
+    rc, out, err = run(capsys, "verify", "--suite", "kmatrix", "--family", "D2",
+                       "--n", "3", "--k", "2", "--kp", "2")
+    assert (rc, out) == (2, "")
+    assert err == "error: fixed recipe needs (k, kp) = (1, 1), got (2, 2)\n"
 
 
 def test_output_flag_writes_file(capsys, tmp_path):

@@ -507,7 +507,7 @@ def test_first_entry():
 
 
 def test_report_add_zero_names_first_residual():
-    rep = Report("witness")
+    rep = Report()
     assert rep.add_zero("vanishes", Operator(3))
     a = Operator(3)
     a.set(2, 0, Scalar(5))

@@ -313,4 +313,4 @@ def test_routes_agree_negative_control(monkeypatch):
     monkeypatch.setattr(onsager, "pauli_generators", bumped)
     rep = check_routes_agree(spec, onsager_generators(spec, PARAMS), PARAMS)
     assert [c.name for c in rep.failures()] == ["b1 embedding vs local-spin"]
-    assert rep.failures()[0].detail == "first difference at (2,1): -1/97+0/1*i"
+    assert rep.failures()[0].detail == "residual at (2,1): -1/97+0/1*i"

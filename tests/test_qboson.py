@@ -321,7 +321,7 @@ def _reference_oracle(params, nf, bra, ket, target=Fraction(1, 10 ** 25)):
             value = nhat * dhat
             bound = en * abs(dhat) + abs(nhat) * ed + en * ed
         else:
-            lbd = 2 * dhat * dhat / (1 + dhat * dhat) - ed
+            lbd = abs(dhat) - ed
             if lbd > 0:
                 value = nhat / dhat
                 bound = (en * abs(dhat) + abs(nhat) * ed) / (lbd * abs(dhat))
