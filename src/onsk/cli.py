@@ -218,9 +218,6 @@ def _suite_onsager(cfg: argparse.Namespace, params: Params) -> Report:
 def _suite_kmatrix(cfg: argparse.Namespace, params: Params) -> Report:
     fam = _family(cfg)
     spec = _coideal(cfg, fam)
-    # check_kh_commute needs the Hamiltonian recipe: a pair without one is
-    # refused here, before any matrix is built
-    hamiltonian_kappa(spec, params)
     rep = Report()
     # each matrix is built right before its first use, dropped after its last
     km = kmatrix_for(spec, params)
@@ -281,6 +278,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         if getattr(cfg, flag) is not None and flag not in read:
             raise ConfigError(f"--{flag} is not read by the {cfg.suite} suite")
     params = resolved_params(cfg)
+    if "kmatrix" in wanted:
+        # check_kh_commute needs the Hamiltonian recipe: a pair without one
+        # is refused here, before any suite runs
+        hamiltonian_kappa(_coideal(cfg, _family(cfg)), params)
     rep = Report()
     w = None
     for suite in wanted:

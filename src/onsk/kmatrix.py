@@ -22,11 +22,11 @@ spec to its K matrix; callers build each once.
 from __future__ import annotations
 
 from .field import ONE, ZERO, Params, PoleError, Scalar, format_scalar
-from .linalg import Operator, commutator, first_entry, kernel
+from .linalg import Operator, commutator, kernel
 from .onsager import CoidealSpec, SpecError, bond_parameters, hamiltonian, onsager_generators
 from .poch import poch
 from .qboson import QBosonEngine, boundary_contract
-from .report import Report
+from .report import Report, residual
 from .spinrep import RangeError, popcount
 
 
@@ -246,10 +246,9 @@ def check_commutativity(kz: KMatrix, kw: KMatrix, bz: KMatrix, bw: KMatrix) -> R
     _require(bw, (1, 1), n, kw.z)
     rep = Report()
     rep.add_zero("trace kind commutes", commutator(kz.operator, kw.operator))
-    res = first_entry(commutator(bz.operator, bw.operator))
-    rep.add("boundary kind commutes", res is None,
-            "contrary to the expected non-commutativity; documented divergence"
-            if res is None else f"residual at ({res[0]},{res[1]}): {res[2]}")
+    detail = residual(commutator(bz.operator, bw.operator))
+    rep.add("boundary kind commutes", not detail,
+            detail or "contrary to the expected non-commutativity; documented divergence")
     return rep
 
 

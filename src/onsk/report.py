@@ -7,6 +7,13 @@ from __future__ import annotations
 from .linalg import first_entry
 
 
+def residual(op) -> str:
+    """The failure witness of an operator expected to vanish: its first
+    nonzero entry as "residual at (r,c): v", or "" when op is zero."""
+    w = first_entry(op)
+    return "" if w is None else f"residual at ({w[0]},{w[1]}): {w[2]}"
+
+
 class CheckResult:
     """Outcome of one named identity check."""
 
@@ -37,9 +44,8 @@ class Report:
 
     def add_zero(self, name: str, op) -> bool:
         """Pass when the operator op vanishes; a failure names its first residual."""
-        w = first_entry(op)
-        return self.add(name, w is None,
-                        "" if w is None else f"residual at ({w[0]},{w[1]}): {w[2]}")
+        detail = residual(op)
+        return self.add(name, not detail, detail)
 
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)

@@ -546,6 +546,20 @@ def test_kmatrix_suite_refuses_a_pair_without_recipe_before_any_work(capsys, mon
     assert err == "error: fixed recipe needs (k, kp) = (1, 1), got (2, 2)\n"
 
 
+def test_all_suites_refuse_a_pair_without_recipe_before_any_suite(capsys, monkeypatch):
+    import onsk.cli as cli
+
+    def ran(*args):
+        raise AssertionError("a suite ran")
+
+    for name in ("_suite_defining", "_suite_onsager", "_suite_kmatrix"):
+        monkeypatch.setattr(cli, name, ran)
+    rc, out, err = run(capsys, "verify", "--suite", "all", "--family", "D2",
+                       "--n", "3", "--k", "2", "--kp", "2")
+    assert (rc, out) == (2, "")
+    assert err == "error: fixed recipe needs (k, kp) = (1, 1), got (2, 2)\n"
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     path = tmp_path / "report.txt"
     rc, out, _ = run(capsys, "verify", "--suite", "defining-relations",

@@ -451,6 +451,30 @@ def test_kh_commute_negative_control(spec):
                       [kmatrix_for(spec, PARAMS)], ["[K, H] = 0"])
 
 
+def _corner_scaled(prm):
+    """K_tr(z) of A1 at n=3 with its corner entry (0, 7) times 98/97."""
+    km = build_ktr(3, prm.z, prm)
+    op = km.operator.copy()
+    op.add_to(0, 7, op.get(0, 7) * Scalar(1, 0, 97))
+    return KMatrix(op, km.kind, km.z, km.n)
+
+
+@pytest.mark.xfail(strict=True, reason="every weight slice of K_tr satisfies the exchange "
+                   "relations on its own, and H preserves weight, so a slice's scale is free")
+@pytest.mark.parametrize("check", (check_intertwining, check_kh_commute),
+                         ids=("intertwining", "kh_commute"))
+def test_scaled_corner_fails(check):
+    for prm in seeds():
+        assert not check(CoidealSpec(Family("A1", 3)), _corner_scaled(prm), prm).passed
+
+
+def test_scaled_corner_fails_unitarity():
+    # the suite still catches the scaled corner that the two checks above miss
+    for prm in seeds():
+        rep = check_unitarity(_corner_scaled(prm), build_ktr(3, prm.z.inverse(), prm))
+        assert [c.name for c in rep.failures()] == ["K(z) K(1/z) = id", "K(1/z) K(z) = id"]
+
+
 def test_quasi_commutativity_arbitrary_coefficients():
     # K(z) H(z) = H(1/z) K(z) for any node coefficients, both kinds
     rng = random.Random(11)

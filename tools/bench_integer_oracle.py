@@ -20,27 +20,22 @@ change in turn:
 * reach: the functions of `qboson.py` from its `# --- summed-series
   oracle` line down that one `chain` and one `spectrum` round call, seed 0,
   listed with sys.setprofile; both lists must be empty;
-* end to end: the last JSON line of perfbench/run.py, untraced, for
-  `series` (the claimed metric), `chain` and `spectrum`, at seed 0 and at
-  seed 11, in pairs whose first side alternates, and one traced `series`
-  run per side for the per-layer `qboson.oracle_s`.  The fastest round
-  (undivided wall_s) of each run is kept, and a run that exits non-zero
-  is recorded with its message, not retried.
+* end to end: perfbench `series` (the claimed metric), `chain` and
+  `spectrum`, at seed 0 and at seed 11, in pairs run and recorded by
+  tools/benchpair.py, and one traced `series` run per side for the
+  per-layer `qboson.oracle_s`.
 
 Writes the JSON to --out (default BENCH_integer_oracle.json).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import re
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import benchpair
 
 WORDS = r"""
 import hashlib, json, random, sys, time
@@ -125,115 +120,24 @@ ORACLE_TESTS = (
     "tests/test_qboson.py::test_oracle_agrees_with_closed_forms",
     "tests/test_kmatrix.py::test_entries_recheck_against_oracle",
 )
-SECONDS = 40      # perfbench run length
 RUNS = (("series", 0, 10), ("series", 11, 3), ("chain", 0, 3), ("chain", 11, 3),
         ("spectrum", 0, 5), ("spectrum", 11, 3))
-METRICS = ("ref_wall_s", "ref_cpu_s", "peak_rss_mb", "setup_s")
-
-
-def src_env(tree: Path) -> dict:
-    return dict(os.environ, PYTHONPATH=str(tree / "src"))
-
-
-def last_json(tree: Path, argv) -> dict:
-    """The last line of an in-tree script's output, as JSON."""
-    out = subprocess.run([sys.executable, "-c", *argv], cwd=tree, env=src_env(tree),
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def oracle_tests(tree: Path) -> dict:
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          "--durations=0", *ORACLE_TESTS], cwd=tree, env=src_env(tree),
-                         capture_output=True, text=True)
+                          "--durations=0", *ORACLE_TESTS], cwd=tree,
+                         env=benchpair.src_env(tree), capture_output=True, text=True)
     got = {m.group(2).split("::")[-1]: float(m.group(1))
            for m in re.finditer(r"^([\d.]+)s call\s+(\S+)$", out.stdout, re.M)}
     return {"passed": out.returncode == 0, "call_s": got,
             "total_s": round(sum(got.values()), 2)}
 
 
-def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(SECONDS if not trace else 10), "--trace", str(trace)]
-    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    if out.returncode != 0:
-        return {"exit": out.returncode, "error": (out.stderr.strip().splitlines() or [""])[-1]}
-    lines = out.stdout.strip().splitlines()
-    doc = json.loads(lines[-1])
-    samples = [json.loads(line.split("samples ", 1)[1]) for line in lines
-               if line.strip().startswith("samples ")]
-    if samples:
-        doc["fastest_round_wall_s"] = round(min(samples[0]["wall_s"]), 4)
-    return doc
-
-
-def summary(values) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4), "n": len(values)}
-
-
-def pairs(parent: Path, change: Path, workload: str, seed: int, count: int) -> dict:
-    """count pairs of runs, the side run first alternating, parent first in pair 1."""
-    rows = []
-    for i in range(count):
-        sides = [("parent", parent), ("change", change)]
-        if i % 2:
-            sides.reverse()
-        got = {name: perfbench(tree, workload, seed, 0) for name, tree in sides}
-        rows.append(got)
-        print(workload, seed, i, {k: v.get("metrics", {}).get("ref_wall_s", v)
-                                  for k, v in got.items()}, file=sys.stderr, flush=True)
-    ok = [r for r in rows if all("metrics" in r[s] for s in r)]
-    out = {"refused": [{"pair": i + 1, **{s: r[s] for s in r if "exit" in r[s]}}
-                       for i, r in enumerate(rows) if r not in ok],
-           "correct": all(r[s]["correct"] for r in ok for s in r),
-           "failed": {s: sum(r[s]["failed"] for r in ok) for s in ("parent", "change")},
-           "attempted": {s: sum(r[s]["attempted"] for r in ok) for s in ("parent", "change")},
-           "fastest_round_wall_s": {s: [r[s].get("fastest_round_wall_s") for r in ok]
-                                    for s in ("parent", "change")},
-           "pairs": [{s: {k: round(v["value"], 4) for k, v in r[s]["metrics"].items()}
-                      for s in ("parent", "change")} for r in ok]}
-    for metric in METRICS:
-        out[metric] = {s: summary([p[s][metric] for p in out["pairs"]])
-                       for s in ("parent", "change")}
-    wall = [(p["parent"]["ref_wall_s"], p["change"]["ref_wall_s"]) for p in out["pairs"]]
-    out["change_wins_ref_wall_s"] = f"{sum(c < p for p, c in wall)} of {len(wall)}"
-    return out
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    ap.add_argument("--change", default=Path("."), type=Path, help="checkout of the change")
-    ap.add_argument("--out", default=Path("BENCH_integer_oracle.json"), type=Path)
-    args = ap.parse_args()
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-
-    def commit(tree):
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
-                             text=True)
-        return out.stdout.strip() or "unknown"
-
-    doc = {
-        "label": "integer_oracle",
-        "what": ("qboson.boundary_contract_oracle sums each Fock series in plain ints over "
-                 "one growing denominator and a power of qd and reduces it once, against "
-                 "the parent's Fraction prefix tables; same (value, bound)"),
-        "commands": {
-            "untraced": (f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
-                         "--trace 0"),
-            "traced": "python3 perfbench/run.py --workload series --seed 0 --seconds 10 --trace 1",
-            "tier1": "python -m pytest -q --durations=0 " + " ".join(ORACLE_TESTS),
-            "script": "python3 tools/bench_integer_oracle.py --parent PARENT",
-        },
-        "host": (f"{os.cpu_count()} vCPUs, {platform.python_implementation()} "
-                 f"{platform.python_version()}, {platform.system()} {platform.machine()}; "
-                 "ref_* are divided by the host slowdown perfbench measures"),
-        "parent_commit": commit(trees["parent"]),
-        "change_commit": commit(trees["change"]),
-    }
+def layers(trees: dict) -> dict:
+    doc = {}
     for name, script in (("words", WORDS), ("z=4/5", POINT), ("reach", REACH)):
-        doc[name] = {side: last_json(tree, [script]) for side, tree in trees.items()}
+        doc[name] = {side: benchpair.last_json(tree, [script]) for side, tree in trees.items()}
         print(name, doc[name], file=sys.stderr, flush=True)
     for side in trees:
         runs = doc["words"][side].pop("runs_s")
@@ -247,13 +151,21 @@ def main() -> int:
     print("tier1", doc["tier1_oracle_tests"], file=sys.stderr, flush=True)
     doc["traced_series"] = {}
     for side, tree in trees.items():
-        got = perfbench(tree, "series", 0, 1)
+        got = benchpair.perfbench(tree, "series", 0, 10, 1)
         doc["traced_series"][side] = {k: round(v["value"], 4)
                                       for k, v in got.get("metrics", {}).items()} or got
-    doc["perfbench"] = {f"{w}_seed{s}": pairs(trees["parent"], trees["change"], w, s, n)
-                        for w, s, n in RUNS}
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    return 0
+    return doc
+
+
+def main() -> int:
+    return benchpair.main(
+        __doc__, "integer_oracle",
+        ("qboson.boundary_contract_oracle sums each Fock series in plain ints over "
+         "one growing denominator and a power of qd and reduces it once, against "
+         "the parent's Fraction prefix tables; same (value, bound)"),
+        {"traced": "python3 perfbench/run.py --workload series --seed 0 --seconds 10 --trace 1",
+         "tier1": "python -m pytest -q --durations=0 " + " ".join(ORACLE_TESTS)},
+        RUNS, layers)
 
 
 if __name__ == "__main__":
